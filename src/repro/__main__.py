@@ -67,9 +67,17 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def _load_config_json(path: str) -> dict:
-    """One JSON object from ``path`` (the ``--config`` file format)."""
+    """One JSON object from ``path`` (the ``--config`` file format).
+
+    Malformed JSON raises ``ValueError`` located as ``PATH:LINE:COL``.
+    """
     with open(path, encoding="utf-8") as stream:
-        data = json.load(stream)
+        try:
+            data = json.load(stream)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+            ) from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
     return data
@@ -162,6 +170,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     finally:
         if tracer is not None:
             tracer.close()
+    if not len(trimmed):
+        cause = (
+            f"warmup {config.warmup} drops all {config.num_requests} requests"
+            if config.num_requests
+            else "the workload has 0 requests"
+        )
+        print(f"error: no completed requests to report: {cause}",
+              file=sys.stderr)
+        return 2
     scheduler_name = SCHEDULERS.canonical_name(config.scheduler)
     print(f"{config.device} + {scheduler_name} @ {config.rate:g} req/s, "
           f"{config.num_requests} requests:")
@@ -228,6 +245,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         return 2
 
     combined = result.combined
+    if not len(combined):
+        cause = (
+            f"member warmup drops all {result.total_requests} routed requests"
+            if result.total_requests
+            else "the fleet workload has 0 requests"
+        )
+        print(f"error: no completed requests to report: {cause}",
+              file=sys.stderr)
+        return 2
     print(f"fleet of {len(result.members)} members, router {result.router} "
           f"@ {fleet.rate:g} req/s, {result.total_requests} requests:")
     print(f"  mean response : {combined.mean_response_time * 1e3:9.3f} ms")

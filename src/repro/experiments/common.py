@@ -296,10 +296,10 @@ def random_workload_sweep(
         return sweep
 
     # Every algorithm at a given rate replays the same stream (the sweep
-    # compares schedulers on identical arrivals), and ``Request`` is
-    # frozen, so the grid's per-rate streams are generated once and
-    # shared.  Keyed by capacity too: a factory could hand back devices of
-    # different sizes, and the draw depends on the LBN range.
+    # compares schedulers on identical arrivals), and the engine never
+    # mutates its input batch, so the grid's per-rate streams are generated
+    # once and shared.  Keyed by capacity too: a factory could hand back
+    # devices of different sizes, and the draw depends on the LBN range.
     stream_cache: dict = {}
 
     def requests_for_rate(device: StorageDevice, rate: float):
@@ -311,7 +311,7 @@ def random_workload_sweep(
             workload = WORKLOADS["random"](
                 device, SimConfig(rate=rate, seed=seed)
             )
-            stream = stream_cache[key] = workload.generate(num_requests)
+            stream = stream_cache[key] = workload.generate_batch(num_requests)
         return stream
 
     return scheduling_sweep(

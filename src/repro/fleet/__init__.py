@@ -12,7 +12,8 @@ contract the rest of the repo uses:
   ``round-robin``, ``least-loaded-static``), sibling of
   ``SCHEDULERS``/``DEVICES``/``WORKLOADS``;
 * :mod:`~repro.fleet.frontend` — deterministic sharding of one global
-  open-arrival stream into per-member streams, assignment recorded per rid;
+  open-arrival :class:`~repro.sim.batch.RequestBatch` into per-member
+  batches in whole-array passes, assignment recorded per rid;
 * :mod:`~repro.fleet.run` — shard execution on worker processes
   (:func:`~repro.experiments.parallel.parallel_map`), bit-identical for
   every ``jobs`` value;
@@ -31,7 +32,7 @@ Quick start::
 """
 
 from repro.fleet.config import FleetConfig
-from repro.fleet.frontend import ShardPlan, build_fleet_requests, shard_requests
+from repro.fleet.frontend import ShardPlan, shard_requests
 from repro.fleet.merge import (
     FleetResult,
     merge_results,
@@ -60,7 +61,6 @@ __all__ = [
     "LeastLoadedStaticRouter",
     "make_router",
     "ShardPlan",
-    "build_fleet_requests",
     "shard_requests",
     "merge_results",
     "merge_traces",

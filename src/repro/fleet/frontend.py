@@ -17,28 +17,22 @@ finished per-member request streams, so the assignment cannot depend on
 worker count or scheduling — the first half of the fleet's determinism
 story (the second is :mod:`repro.fleet.merge`).
 
-Two equivalent shard paths exist.  The *columnar* path (default whenever
-the workload generator grows ``generate_batch`` and the router implements
-its array twins) runs generation, routing, localization, and per-member
-splitting as whole-array numpy passes over a
-:class:`~repro.sim.batch.RequestBatch`; member streams stay columnar until
-each member's engine ingests them.  The *object* path walks materialized
-:class:`~repro.sim.request.Request` lists one at a time.  Both paths
-produce identical member streams, assignments, and route events — pinned
-by tests and by the fleet determinism benchmark.
+Generation, routing, localization and per-member splitting all run as
+whole-array numpy passes over one :class:`~repro.sim.batch.RequestBatch`
+(the router's ``route_array``/``member_lbn_array``); member streams stay
+columnar until each member's engine ingests them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List
 
 from repro.fleet.config import FleetConfig
-from repro.fleet.routing import LBNRangeRouter, Router
+from repro.fleet.routing import Router
 from repro.nputil import get_numpy
 from repro.sim.batch import RequestBatch
 from repro.sim.config import WORKLOADS
-from repro.sim.request import Request
 
 
 @dataclass(frozen=True)
@@ -52,16 +46,15 @@ class _FleetAddressSpace:
 class ShardPlan:
     """The front-end's output: routed per-member streams plus the record.
 
-    ``member_requests[m]`` is member *m*'s stream — a
-    :class:`~repro.sim.batch.RequestBatch` on the columnar path, a
-    ``List[Request]`` on the object path; the engine ingests either.
-    ``assignment[i]`` is the member index of the request with rid ``i``
-    (rids are assigned densely from 0 by every workload generator);
+    ``member_requests[m]`` is member *m*'s stream as a
+    :class:`~repro.sim.batch.RequestBatch`.  ``assignment[i]`` is the
+    member index of the request with rid ``i`` (rids are assigned densely
+    from 0 by every workload generator);
     ``route_events`` are ready-to-merge ``fleet.route`` trace events
     (only built when the fleet run is traced).
     """
 
-    member_requests: List[Union[List[Request], RequestBatch]]
+    member_requests: List[RequestBatch]
     assignment: List[int]
     total_requests: int
     fleet_capacity: int
@@ -72,61 +65,20 @@ class ShardPlan:
         return [len(requests) for requests in self.member_requests]
 
 
-def build_fleet_requests(
+def build_fleet_batch(
     config: FleetConfig, fleet_capacity: int
-) -> List[Request]:
+) -> RequestBatch:
     """Generate the global arrival stream over the fleet address space."""
     workload = WORKLOADS[config.workload](
         _FleetAddressSpace(fleet_capacity), config
     )
-    return workload.generate(config.num_requests)
-
-
-def build_fleet_batch(
-    config: FleetConfig, fleet_capacity: int
-) -> Optional[RequestBatch]:
-    """Columnar twin of :func:`build_fleet_requests`.
-
-    Returns ``None`` when the configured workload generator has no
-    ``generate_batch`` — the front-end then falls back to the object path.
-    """
-    workload = WORKLOADS[config.workload](
-        _FleetAddressSpace(fleet_capacity), config
-    )
-    generate_batch = getattr(workload, "generate_batch", None)
-    if generate_batch is None:
-        return None
-    return generate_batch(config.num_requests)
-
-
-def _router_supports_arrays(router: Router) -> bool:
-    """True when this router's array twins are trustworthy.
-
-    ``route_array`` must be implemented (not the base's
-    ``NotImplementedError``), and a subclass that overrides the scalar
-    ``member_lbn`` must override ``member_lbn_array`` in tandem — otherwise
-    the inherited modulo fold would silently diverge from its scalar
-    localization, so such routers take the object path instead.
-    """
-    cls = type(router)
-    if cls.route_array is Router.route_array:
-        return False
-    scalar_overridden = cls.member_lbn not in (
-        Router.member_lbn,
-        LBNRangeRouter.member_lbn,
-    )
-    array_overridden = cls.member_lbn_array not in (
-        Router.member_lbn_array,
-        LBNRangeRouter.member_lbn_array,
-    )
-    return array_overridden or not scalar_overridden
+    return workload.generate_batch(config.num_requests)
 
 
 def shard_requests(
     config: FleetConfig,
     router: Router,
     record_events: bool = False,
-    columnar: Optional[bool] = None,
 ) -> ShardPlan:
     """Route the global stream into per-member request streams.
 
@@ -135,45 +87,17 @@ def shard_requests(
     the router and its length clamped to the member's remaining capacity
     (range-straddling requests under ``lbn-range``, fold-wrapped tails
     under the modulo localization — both deterministic).
-
-    ``columnar=None`` (the default) picks the columnar path whenever the
-    workload and router both support it; ``True`` requires it
-    (``ValueError`` otherwise) and ``False`` forces the object path — the
-    determinism tests and benchmarks compare the two for byte-identical
-    fleet output.
     """
-    capacities = router.capacities
-    fleet_capacity = sum(capacities)
-    if columnar is None:
-        columnar = _router_supports_arrays(router)
-    elif columnar and not _router_supports_arrays(router):
-        raise ValueError(
-            f"router {router.name!r} does not implement the array routing "
-            f"twins required for columnar sharding"
-        )
-    if columnar:
-        batch = build_fleet_batch(config, fleet_capacity)
-        if batch is not None:
-            return _shard_batch(batch, router, record_events, fleet_capacity)
-    requests = build_fleet_requests(config, fleet_capacity)
-    return _shard_objects(requests, router, record_events, fleet_capacity)
-
-
-def _shard_batch(
-    batch: RequestBatch,
-    router: Router,
-    record_events: bool,
-    fleet_capacity: int,
-) -> ShardPlan:
-    """Columnar sharding: route, localize, clamp, and split as array ops."""
     np = get_numpy()
+    fleet_capacity = sum(router.capacities)
+    batch = build_fleet_batch(config, fleet_capacity)
     members = np.ascontiguousarray(router.route_array(batch), dtype=np.int64)
     local_lbn = np.ascontiguousarray(
         router.member_lbn_array(batch.lbn, members), dtype=np.int64
     )
     capacities = np.asarray(router.capacities, dtype=np.int64)
     sectors = np.minimum(batch.sectors, capacities[members] - local_lbn)
-    streams: List[Union[List[Request], RequestBatch]] = []
+    streams: List[RequestBatch] = []
     for member in range(router.members):
         rows = np.nonzero(members == member)[0]
         streams.append(
@@ -187,7 +111,7 @@ def _shard_batch(
         )
     # rids are dense 0..N-1 but rows are in arrival order, which can
     # differ (trace-shaped generators sort after assigning ids) — scatter
-    # by rid so ``assignment`` indexes like the object path's.
+    # by rid so ``assignment`` indexes by rid.
     assignment_array = np.empty(len(batch), dtype=np.int64)
     assignment_array[batch.rid] = members
     route_events: List[dict] = []
@@ -219,71 +143,3 @@ def _shard_batch(
         route_events=route_events,
     )
 
-
-def _shard_objects(
-    requests: Sequence[Request],
-    router: Router,
-    record_events: bool,
-    fleet_capacity: int,
-) -> ShardPlan:
-    """Object-path sharding: one pass over materialized requests.
-
-    When the global address and length already fit the member, the
-    original frozen request object is reused unchanged, which makes a
-    1-member ``lbn-range`` fleet's shard stream *identical* to the
-    single-device stream.  Localization reuses the router's precomputed
-    per-member offset/capacity arrays instead of a method call per
-    request; a router subclass with its own ``member_lbn`` still gets
-    called per request.
-    """
-    capacities = router.capacities
-    streams: List[Union[List[Request], RequestBatch]] = [
-        [] for _ in range(router.members)
-    ]
-    # Every generator in repro.workloads assigns dense rids 0..N-1 (some
-    # sort by arrival afterwards), so the assignment indexes by rid.
-    assignment: List[int] = [0] * len(requests)
-    route_events: List[dict] = []
-    member_lbn = type(router).member_lbn
-    range_starts = router._starts if member_lbn is LBNRangeRouter.member_lbn else None
-    modulo_fold = member_lbn is Router.member_lbn
-    for request in requests:
-        member = router.route(request)
-        if range_starts is not None:
-            local_lbn = request.lbn - range_starts[member]
-        elif modulo_fold:
-            local_lbn = request.lbn % capacities[member]
-        else:
-            local_lbn = router.member_lbn(request, member)
-        sectors = min(request.sectors, capacities[member] - local_lbn)
-        if local_lbn == request.lbn and sectors == request.sectors:
-            routed = request
-        else:
-            routed = Request(
-                arrival_time=request.arrival_time,
-                lbn=local_lbn,
-                sectors=sectors,
-                kind=request.kind,
-                request_id=request.request_id,
-            )
-        streams[member].append(routed)
-        assignment[request.request_id] = member
-        if record_events:
-            route_events.append(
-                {
-                    "kind": "fleet.route",
-                    "t": request.arrival_time,
-                    "rid": request.request_id,
-                    "member": member,
-                    "lbn": request.lbn,
-                    "member_lbn": local_lbn,
-                    "sectors": sectors,
-                }
-            )
-    return ShardPlan(
-        member_requests=streams,
-        assignment=assignment,
-        total_requests=len(requests),
-        fleet_capacity=fleet_capacity,
-        route_events=route_events,
-    )

@@ -35,13 +35,11 @@ and sweeps resolve router names through one table:
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from typing import Sequence, TYPE_CHECKING, Tuple
 
 from repro.core.registry import Registry
 from repro.nputil import get_numpy
-from repro.sim.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.batch import RequestBatch
@@ -70,13 +68,14 @@ def mix64(value: int) -> int:
 class Router:
     """Base routing policy over a fixed member-capacity vector.
 
-    Subclasses implement :meth:`route`; :meth:`member_lbn` maps the
-    request's fleet-wide LBN into the chosen member's local space (the
-    default folds it modulo the member capacity, which non-range policies
-    use — the simulation only needs a valid, deterministic local address).
-    Stateful policies (``least-loaded-static``) accumulate state across
-    :meth:`route` calls, so the front-end builds a fresh router per
-    sharding pass.
+    Subclasses implement :meth:`route_array`, which assigns every row of a
+    :class:`~repro.sim.batch.RequestBatch` in one pass;
+    :meth:`member_lbn_array` maps the fleet-wide LBNs into the chosen
+    members' local spaces (the default folds them modulo the member
+    capacity, which non-range policies use — the simulation only needs a
+    valid, deterministic local address).  Stateful policies
+    (``least-loaded-static``) carry state across :meth:`route_array`
+    calls, so the front-end builds a fresh router per sharding pass.
     """
 
     name = "router"
@@ -89,35 +88,12 @@ class Router:
         self.capacities: Tuple[int, ...] = tuple(capacities)
         self.members = len(self.capacities)
 
-    def route(self, request: Request) -> int:
-        """Member index (0-based) this request is assigned to."""
-        raise NotImplementedError
-
-    def member_lbn(self, request: Request, member: int) -> int:
-        """The request's starting LBN in ``member``'s local address space."""
-        return request.lbn % self.capacities[member]
-
-    # -- array (columnar) twins --------------------------------------------- #
-    #
-    # Each built-in policy also routes a whole RequestBatch in one array
-    # pass; the scalar and array methods are pinned element-identical by
-    # tests/workloads/test_batch_identity.py.  A custom Router subclass
-    # that overrides the scalar methods without the array twins is routed
-    # through the scalar fallback by the front-end (see
-    # repro.fleet.frontend.shard_requests), never silently mismatched.
-
     def route_array(self, batch: "RequestBatch"):
-        """Member index per batch row (int64 array), or ``NotImplemented``.
-
-        Subclasses implementing this must consume exactly the same
-        information as :meth:`route` so the two stay element-identical;
-        stateful policies must also leave their state as the scalar path
-        would have.
-        """
+        """Member index (0-based) per batch row, as an int64 array."""
         raise NotImplementedError
 
     def member_lbn_array(self, lbn, members):
-        """Array twin of :meth:`member_lbn` (the default modulo fold)."""
+        """Each row's starting LBN in its member's local address space."""
         np = get_numpy()
         capacities = np.asarray(self.capacities, dtype=np.int64)
         return lbn % capacities[members]
@@ -136,17 +112,6 @@ class LBNRangeRouter(Router):
             starts.append(starts[-1] + capacity)
         self._starts = starts
         self.fleet_capacity = starts[-1] + self.capacities[-1]
-
-    def route(self, request: Request) -> int:
-        if not 0 <= request.lbn < self.fleet_capacity:
-            raise ValueError(
-                f"lbn {request.lbn} outside fleet capacity "
-                f"{self.fleet_capacity}"
-            )
-        return bisect.bisect_right(self._starts, request.lbn) - 1
-
-    def member_lbn(self, request: Request, member: int) -> int:
-        return request.lbn - self._starts[member]
 
     def route_array(self, batch: "RequestBatch"):
         np = get_numpy()
@@ -181,9 +146,6 @@ class HashRouter(Router):
             raise ValueError(f"chunk_sectors must be >= 1: {chunk_sectors}")
         self.chunk_sectors = chunk_sectors
 
-    def route(self, request: Request) -> int:
-        return mix64(request.lbn // self.chunk_sectors) % self.members
-
     def route_array(self, batch: "RequestBatch"):
         np = get_numpy()
         # SplitMix64 on uint64 columns: identical constants and shifts to
@@ -204,9 +166,6 @@ class RoundRobinRouter(Router):
 
     name = "round-robin"
 
-    def route(self, request: Request) -> int:
-        return request.request_id % self.members
-
     def route_array(self, batch: "RequestBatch"):
         return batch.rid % self.members
 
@@ -220,11 +179,6 @@ class LeastLoadedStaticRouter(Router):
     def __init__(self, capacities: Sequence[int]) -> None:
         super().__init__(capacities)
         self._load = [0] * self.members
-
-    def route(self, request: Request) -> int:
-        member = self._load.index(min(self._load))
-        self._load[member] += request.sectors
-        return member
 
     def route_array(self, batch: "RequestBatch"):
         np = get_numpy()

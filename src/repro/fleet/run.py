@@ -20,7 +20,7 @@ Because sharding happens pre-fork, member runs are independent, and the
 merge is a pure deterministic fold, the returned result — and the merged
 trace/report bytes — are identical for every ``jobs`` value, including the
 sequential in-process fallback.  A 1-member fleet under the ``lbn-range``
-router reuses the original request objects unchanged, so its result equals
+router hands its member the unchanged global stream, so its result equals
 the plain single-device ``SimConfig.run`` for the same workload fields.
 
 A member that saturates raises
@@ -32,7 +32,7 @@ shard traces are cleaned up before the error propagates.
 from __future__ import annotations
 
 import gc
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.experiments.parallel import parallel_map
 from repro.fleet.config import FleetConfig
@@ -53,7 +53,6 @@ from repro.obs.live import (
 from repro.obs.tracer import JsonlTracer
 from repro.sim.batch import RequestBatch
 from repro.sim.config import SimConfig
-from repro.sim.request import Request
 from repro.sim.statistics import SimulationResult
 
 LiveSpec = Tuple[float, Tuple[SLOSpec, ...]]
@@ -78,18 +77,17 @@ def _member_live_spec(
 
 def _run_member(
     member: SimConfig,
-    requests: Sequence[Request],
+    requests: RequestBatch,
     trace_path: Optional[str],
     live: Optional[LiveSpec],
 ) -> Tuple[SimulationResult, Optional[LiveSummary]]:
     """Run one member's shard to completion (the worker-process body).
 
     The member config supplies the device/scheduler substrate; the request
-    stream comes from the fleet front-end — a columnar
-    :class:`~repro.sim.batch.RequestBatch` or a request list, never the
-    member's workload fields.  Mirrors :meth:`SimConfig.run`'s tracer
-    ownership and warmup handling so a 1-member fleet matches the
-    single-device path exactly.
+    stream is the member's :class:`~repro.sim.batch.RequestBatch` from the
+    fleet front-end, never the member's workload fields.  Mirrors
+    :meth:`SimConfig.run`'s tracer ownership and warmup handling so a
+    1-member fleet matches the single-device path exactly.
 
     When ``live`` is set the member runs under a
     :class:`~repro.obs.live.LiveAggregator` wrapped around its shard sink
@@ -106,10 +104,7 @@ def _run_member(
     tracer = aggregator if aggregator is not None else sink
     try:
         simulation = member.build_simulation(tracer=tracer)
-        if isinstance(requests, RequestBatch):
-            result = simulation.run(requests)
-        else:
-            result = simulation.run(list(requests))
+        result = simulation.run(requests)
     finally:
         if tracer is not None:
             tracer.close()
@@ -117,17 +112,8 @@ def _run_member(
     return result.drop_warmup(member.warmup), summary
 
 
-def run_fleet(
-    config: FleetConfig,
-    jobs: Optional[int] = None,
-    columnar: Optional[bool] = None,
-) -> FleetResult:
+def run_fleet(config: FleetConfig, jobs: Optional[int] = None) -> FleetResult:
     """Shard, execute, and merge one fleet run (see module docstring).
-
-    ``columnar`` selects the shard path (see
-    :func:`~repro.fleet.frontend.shard_requests`); the default picks the
-    columnar path when available.  Results and merged trace bytes are
-    identical either way — the determinism tests compare both.
 
     Generational GC is paused for the whole run, extending the engine's
     per-drain pause (see :meth:`Simulation.run`) across the gaps between
@@ -143,24 +129,18 @@ def run_fleet(
     if gc_was_enabled:
         gc.disable()
     try:
-        return _run_fleet(config, jobs=jobs, columnar=columnar)
+        return _run_fleet(config, jobs=jobs)
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
-def _run_fleet(
-    config: FleetConfig,
-    jobs: Optional[int],
-    columnar: Optional[bool],
-) -> FleetResult:
+def _run_fleet(config: FleetConfig, jobs: Optional[int]) -> FleetResult:
     """The :func:`run_fleet` body, run under the caller-managed GC pause."""
     capacities = config.member_capacities()
     router = config.build_router(capacities)
     tracing = config.trace_path is not None
-    plan = shard_requests(
-        config, router, record_events=tracing, columnar=columnar
-    )
+    plan = shard_requests(config, router, record_events=tracing)
 
     shard_paths: List[Optional[str]] = [None] * len(config.members)
     if tracing:

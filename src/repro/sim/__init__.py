@@ -6,23 +6,18 @@ Public surface:
   :class:`~repro.sim.request.AccessResult`,
   :class:`~repro.sim.request.RequestRecord` — request lifecycle types.
 * :class:`~repro.sim.device.StorageDevice` — device model interface.
+* :class:`~repro.sim.batch.RequestBatch` — the columnar request stream
+  every workload generator produces and the engine ingests.
 * :class:`~repro.sim.engine.Simulation`, :func:`~repro.sim.engine.simulate`,
-  :class:`~repro.sim.engine.SimulationObserver`,
-  :class:`~repro.sim.engine.QueueOverflowError` — the event loop.
+  :class:`~repro.sim.engine.QueueOverflowError` — the event loop: one
+  ingest path and one drain loop, instrumented only through the tracer.
 * :class:`~repro.sim.statistics.SimulationResult` — run metrics.
 """
 
-from repro.sim.batch import RequestBatch, as_request_batch, as_request_list
+from repro.sim.batch import RequestBatch
 from repro.sim.config import DEVICES, SimConfig, WORKLOADS, make_device
 from repro.sim.device import StorageDevice
-from repro.sim.engine import (
-    EventKind,
-    EventQueue,
-    QueueOverflowError,
-    Simulation,
-    SimulationObserver,
-    simulate,
-)
+from repro.sim.engine import QueueOverflowError, Simulation, simulate
 from repro.sim.replication import ReplicationResult, replicate
 from repro.sim.request import SECTOR_BYTES, AccessResult, IOKind, Request, RequestRecord
 from repro.sim.statistics import SimulationResult, squared_coefficient_of_variation
@@ -31,8 +26,6 @@ __all__ = [
     "DEVICES",
     "SECTOR_BYTES",
     "AccessResult",
-    "EventKind",
-    "EventQueue",
     "IOKind",
     "QueueOverflowError",
     "ReplicationResult",
@@ -41,12 +34,9 @@ __all__ = [
     "RequestRecord",
     "SimConfig",
     "Simulation",
-    "SimulationObserver",
     "SimulationResult",
     "StorageDevice",
     "WORKLOADS",
-    "as_request_batch",
-    "as_request_list",
     "make_device",
     "replicate",
     "simulate",

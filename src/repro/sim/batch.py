@@ -1,21 +1,22 @@
 """Columnar request batches: a numpy structure-of-arrays request stream.
 
-A :class:`RequestBatch` is the array-native twin of a ``List[Request]`` —
-five parallel columns (arrival, lbn, sectors, is_write, rid) holding one
-request per row.  Workload generators produce batches in whole-array ops
+A :class:`RequestBatch` holds a request stream as five parallel columns
+(arrival, lbn, sectors, is_write, rid), one request per row.  It is the
+stream type that crosses module boundaries: workload generators produce
+batches in whole-array ops
 (:meth:`~repro.workloads.synthetic.RandomWorkload.generate_batch`), the
 fleet front-end routes them with single array passes
 (:func:`repro.fleet.frontend.shard_requests`), and the engine ingests them
-directly (:meth:`repro.sim.engine.Simulation.run`), materializing
+(:meth:`repro.sim.engine.Simulation.run`), materializing
 :class:`~repro.sim.request.Request` objects only at the event-loop
-boundary where the scheduler and device need them.
+boundary where the scheduler and device need them.  A plain request list
+handed to the engine is columnarized once on entry
+(:meth:`RequestBatch.from_requests`), so every stream is validated,
+sorted and materialized by the same code.
 
-The columnar path is an *optimization, not a semantic fork*: a batch and
-the request list it materializes describe exactly the same stream, and the
-equivalence tests (``tests/workloads/test_batch_identity.py``) pin the
-scalar and vectorized generators to bit-identical output.  Column dtypes
-are fixed (float64/int64/bool) so results cannot drift with platform
-integer sizes.
+Column dtypes are fixed (float64/int64/bool) so results cannot drift with
+platform integer sizes; ``tests/workloads/test_batch_identity.py`` pins
+the vectorized generators to their scalar reference streams.
 
 numpy is imported lazily through :mod:`repro.nputil`, like every other
 vectorized hot path in this package.
@@ -119,13 +120,13 @@ class RequestBatch:
     # -- validation ---------------------------------------------------------- #
 
     def validate(self, capacity_sectors: int) -> None:
-        """Bulk twin of per-request validation: one array pass, same errors.
+        """Bounds-check every row in one array pass (the engine's check).
 
         Checks every row against the :class:`~repro.sim.request.Request`
         invariants and the device capacity.  On failure the *first*
-        offending row (in storage order) is pushed through the scalar
-        constructors so callers see the exact error message the object path
-        would have raised.
+        offending row (in storage order) is pushed through the validating
+        ``Request`` constructor, so callers see its message (or the
+        device-capacity message ``StorageDevice.validate`` uses).
         """
         np = get_numpy()
         if len(self) == 0:
@@ -180,16 +181,3 @@ class RequestBatch:
             )
         ]
 
-
-def as_request_list(requests) -> List[Request]:
-    """Normalize a batch or request iterable to a ``List[Request]``."""
-    if isinstance(requests, RequestBatch):
-        return requests.to_requests()
-    return list(requests)
-
-
-def as_request_batch(requests) -> RequestBatch:
-    """Normalize a batch or request iterable to a :class:`RequestBatch`."""
-    if isinstance(requests, RequestBatch):
-        return requests
-    return RequestBatch.from_requests(requests)

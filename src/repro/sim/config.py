@@ -22,13 +22,14 @@ from __future__ import annotations
 import dataclasses
 import difflib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Mapping, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.registry import Registry
 from repro.obs.live import LiveAggregator, SLOSpec
 from repro.obs.tracer import JsonlTracer, NULL_TRACER, SamplingTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.batch import RequestBatch
     from repro.sim.device import StorageDevice
     from repro.sim.engine import Simulation
     from repro.sim.statistics import SimulationResult
@@ -67,7 +68,8 @@ WORKLOADS = Registry("workload")
 """String-keyed registry of workload builders.
 
 Each builder takes ``(device, config)`` and returns a generator with a
-``generate(count)`` method; ``config.rate`` maps onto the workload's
+``generate_batch(count)`` method (the :class:`~repro.sim.batch.RequestBatch`
+the engine ingests); ``config.rate`` maps onto the workload's
 intensity knob (arrival rate, burst rate, transaction rate) and
 ``config.workload_params`` carries everything else.
 """
@@ -211,9 +213,9 @@ class SimConfig:
 
         return make_scheduler(self.scheduler, device, **self.scheduler_params)
 
-    def build_requests(self, device: "StorageDevice") -> List:
+    def build_requests(self, device: "StorageDevice") -> "RequestBatch":
         workload = WORKLOADS[self.workload](device, self)
-        return workload.generate(self.num_requests)
+        return workload.generate_batch(self.num_requests)
 
     @property
     def live_enabled(self) -> bool:

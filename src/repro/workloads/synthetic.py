@@ -20,8 +20,7 @@ also the default path.
 
 from __future__ import annotations
 
-import functools
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.nputil import get_numpy
 from repro.sim.batch import RequestBatch
@@ -53,37 +52,6 @@ def _uniform_index(u: float, n: int) -> int:
     """
     index = int(u * n)
     return n - 1 if index >= n else index
-
-
-@functools.lru_cache(maxsize=64)
-def _random_workload_requests(
-    capacity_sectors: int,
-    rate: float,
-    read_fraction: float,
-    mean_size_sectors: float,
-    max_size_sectors: int,
-    seed: int,
-    count: int,
-) -> Tuple[Request, ...]:
-    """Memoized seeded :class:`RandomWorkload` request streams.
-
-    A scheduling sweep replays the *same* seeded workload once per policy
-    (figure 6 runs four policies over seven rates), and the experiment
-    driver rebuilds the generator for every (policy, rate) point — so the
-    identical request list is derived several times over.  Requests are
-    frozen dataclasses, so sharing one tuple across simulations is safe.
-    Only seeded streams are cached (an unseeded generator is deliberately
-    non-deterministic).
-    """
-    workload = RandomWorkload(
-        capacity_sectors,
-        rate,
-        read_fraction=read_fraction,
-        mean_size_sectors=mean_size_sectors,
-        max_size_sectors=max_size_sectors,
-        seed=seed,
-    )
-    return tuple(workload.generate_batch(count).to_requests())
 
 
 class RandomWorkload:
@@ -134,25 +102,8 @@ class RandomWorkload:
         """Produce ``count`` requests in arrival order.
 
         Materialized from :meth:`generate_batch` (the two paths are
-        bit-identical); seeded streams are additionally served from a
-        module-level memo (see :func:`_random_workload_requests`).  The
-        returned list is always a fresh copy, so callers may extend or
-        reorder it freely.
+        bit-identical).
         """
-        if count < 0:
-            raise ValueError(f"negative request count: {count}")
-        if self.seed is not None:
-            return list(
-                _random_workload_requests(
-                    self.capacity_sectors,
-                    self.rate,
-                    self.read_fraction,
-                    self.mean_size_sectors,
-                    self.max_size_sectors,
-                    self.seed,
-                    count,
-                )
-            )
         return self.generate_batch(count).to_requests()
 
     def generate_batch(self, count: int) -> RequestBatch:

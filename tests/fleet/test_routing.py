@@ -1,5 +1,6 @@
 """Tests for the router registry and routing policies."""
 
+import numpy as np
 import pytest
 
 from repro.fleet.routing import (
@@ -11,13 +12,26 @@ from repro.fleet.routing import (
     make_router,
     mix64,
 )
-from repro.sim import IOKind, Request
+from repro.sim import IOKind, Request, RequestBatch
 
 CAPS = (1000, 2000, 500)
 
 
 def req(rid, lbn, sectors=8):
     return Request(0.0, lbn, sectors, IOKind.READ, rid)
+
+
+def route(router, *requests):
+    """Members the router assigns to ``requests``, routed as one batch."""
+    batch = RequestBatch.from_requests(requests)
+    return router.route_array(batch).tolist()
+
+
+def local(router, lbns, members):
+    """Localized LBNs for parallel ``lbns``/``members`` lists."""
+    return router.member_lbn_array(
+        np.asarray(lbns, dtype=np.int64), np.asarray(members, dtype=np.int64)
+    ).tolist()
 
 
 class TestRegistry:
@@ -61,37 +75,35 @@ class TestValidation:
 class TestLBNRange:
     def test_partition_boundaries(self):
         router = LBNRangeRouter(CAPS)
-        assert router.route(req(0, 0)) == 0
-        assert router.route(req(1, 999)) == 0
-        assert router.route(req(2, 1000)) == 1
-        assert router.route(req(3, 2999)) == 1
-        assert router.route(req(4, 3000)) == 2
-        assert router.route(req(5, 3499)) == 2
+        lbns = [0, 999, 1000, 2999, 3000, 3499]
+        assert route(
+            router, *(req(rid, lbn) for rid, lbn in enumerate(lbns))
+        ) == [0, 0, 1, 1, 2, 2]
 
     def test_member_lbn_is_offset(self):
         router = LBNRangeRouter(CAPS)
-        assert router.member_lbn(req(0, 1500), 1) == 500
-        assert router.member_lbn(req(0, 3000), 2) == 0
+        assert local(router, [1500, 3000], [1, 2]) == [500, 0]
 
     def test_out_of_range_rejected(self):
         router = LBNRangeRouter(CAPS)
-        with pytest.raises(ValueError, match="outside fleet capacity"):
-            router.route(req(0, 3500))
+        with pytest.raises(ValueError, match="lbn 3500 outside fleet"):
+            route(router, req(0, 0), req(1, 3500))
 
     def test_single_member_is_identity(self):
         router = LBNRangeRouter((5000,))
-        request = req(7, 4321)
-        assert router.route(request) == 0
-        assert router.member_lbn(request, 0) == 4321
+        assert route(router, req(7, 4321)) == [0]
+        assert local(router, [4321], [0]) == [4321]
 
 
 class TestHash:
     def test_deterministic_and_chunk_stable(self):
         router = HashRouter(CAPS, chunk_sectors=256)
-        member = router.route(req(0, 512))
         # Same chunk (lbn // 256 == 2) → same member, any rid, any run.
-        assert router.route(req(99, 700)) == member
-        assert HashRouter(CAPS, chunk_sectors=256).route(req(5, 513)) == member
+        first, second = route(router, req(0, 512), req(99, 700))
+        assert first == second == mix64(2) % 3
+        assert route(HashRouter(CAPS, chunk_sectors=256), req(5, 513)) == [
+            first
+        ]
 
     def test_mix64_is_fixed(self):
         # Pinned values: the assignment must never drift across versions,
@@ -101,24 +113,28 @@ class TestHash:
 
     def test_spreads_members(self):
         router = HashRouter(CAPS, chunk_sectors=1)
-        members = {router.route(req(i, i * 997)) for i in range(200)}
-        assert members == {0, 1, 2}
+        members = route(router, *(req(i, i * 997) for i in range(200)))
+        assert members == [mix64(i * 997) % 3 for i in range(200)]
+        assert set(members) == {0, 1, 2}
 
     def test_member_lbn_in_bounds(self):
         router = HashRouter(CAPS)
-        for lbn in (0, 999, 1000, 3499, 3400):
-            request = req(0, lbn)
-            member = router.route(request)
-            assert 0 <= router.member_lbn(request, member) < CAPS[member]
+        lbns = [0, 999, 1000, 3499, 3400]
+        members = route(router, *(req(0, lbn) for lbn in lbns))
+        localized = local(router, lbns, members)
+        assert localized == [
+            lbn % CAPS[member] for lbn, member in zip(lbns, members)
+        ]
+        assert all(
+            0 <= lbn < CAPS[member] for lbn, member in zip(localized, members)
+        )
 
 
 class TestRoundRobin:
     def test_exact_balance(self):
         router = RoundRobinRouter(CAPS)
-        counts = [0, 0, 0]
-        for rid in range(30):
-            counts[router.route(req(rid, 0))] += 1
-        assert counts == [10, 10, 10]
+        members = route(router, *(req(rid, 0) for rid in range(30)))
+        assert members == [rid % 3 for rid in range(30)]
 
 
 class TestLeastLoadedStatic:
@@ -126,19 +142,24 @@ class TestLeastLoadedStatic:
         router = LeastLoadedStaticRouter(CAPS)
         # Unequal request sizes: greedy keeps cumulative sectors level.
         sizes = [64, 8, 8, 8, 64, 8, 8, 8]
-        for rid, sectors in enumerate(sizes):
-            router.route(req(rid, 0, sectors))
+        members = route(
+            router,
+            *(req(rid, 0, sectors) for rid, sectors in enumerate(sizes)),
+        )
+        assert members == [0, 1, 2, 1, 2, 1, 1, 1]
+        assert router._load == [64, 40, 72]
         assert max(router._load) - min(router._load) <= 64
 
     def test_ties_to_lowest_index(self):
         router = LeastLoadedStaticRouter(CAPS)
-        assert router.route(req(0, 0)) == 0
-        assert router.route(req(1, 0)) == 1
-        assert router.route(req(2, 0)) == 2
-        assert router.route(req(3, 0)) == 0
+        members = route(router, *(req(rid, 0) for rid in range(4)))
+        assert members == [0, 1, 2, 0]
 
     def test_pure_function_of_stream(self):
-        a = LeastLoadedStaticRouter(CAPS)
-        b = LeastLoadedStaticRouter(CAPS)
         stream = [req(i, i * 31, 8 + (i % 3) * 8) for i in range(50)]
-        assert [a.route(r) for r in stream] == [b.route(r) for r in stream]
+        whole = route(LeastLoadedStaticRouter(CAPS), *stream)
+        # State carries across calls: routing the stream in two batches
+        # assigns exactly what one batch does.
+        split = LeastLoadedStaticRouter(CAPS)
+        assert route(split, *stream[:17]) + route(split, *stream[17:]) == whole
+        assert whole == route(LeastLoadedStaticRouter(CAPS), *stream)

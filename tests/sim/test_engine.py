@@ -4,15 +4,14 @@ device so timings are exactly predictable."""
 import pytest
 
 from repro.core.scheduling import FCFSScheduler
+from repro.obs.tracer import RingBufferTracer
 from repro.sim import (
     AccessResult,
-    EventKind,
-    EventQueue,
     IOKind,
     QueueOverflowError,
     Request,
+    RequestBatch,
     Simulation,
-    SimulationObserver,
     StorageDevice,
     simulate,
 )
@@ -46,38 +45,6 @@ class ConstantDevice(StorageDevice):
 
 def req(arrival, lbn=0, rid=0):
     return Request(arrival, lbn=lbn, sectors=1, kind=IOKind.READ, request_id=rid)
-
-
-class TestEventQueue:
-    def test_time_ordering(self):
-        queue = EventQueue()
-        queue.push(2.0, EventKind.ARRIVAL, "b")
-        queue.push(1.0, EventKind.ARRIVAL, "a")
-        assert queue.pop().payload == "a"
-        assert queue.pop().payload == "b"
-
-    def test_completion_before_arrival_at_same_time(self):
-        queue = EventQueue()
-        queue.push(1.0, EventKind.ARRIVAL, "arrival")
-        queue.push(1.0, EventKind.COMPLETION, "completion")
-        assert queue.pop().payload == "completion"
-
-    def test_fifo_among_equal_events(self):
-        queue = EventQueue()
-        queue.push(1.0, EventKind.ARRIVAL, "first")
-        queue.push(1.0, EventKind.ARRIVAL, "second")
-        assert queue.pop().payload == "first"
-
-    def test_negative_time_rejected(self):
-        queue = EventQueue()
-        with pytest.raises(ValueError):
-            queue.push(-1.0, EventKind.ARRIVAL, None)
-
-    def test_len_and_bool(self):
-        queue = EventQueue()
-        assert not queue
-        queue.push(0.0, EventKind.ARRIVAL, None)
-        assert queue and len(queue) == 1
 
 
 class TestSimulation:
@@ -128,57 +95,247 @@ class TestSimulation:
         assert result.records[1].dispatch_time == pytest.approx(1.0)
         assert result.records[1].queue_time == pytest.approx(0.0)
 
+    def test_negative_arrival_rejected(self):
+        batch = RequestBatch(
+            arrival=[0.0, -1.0], lbn=[0, 1], sectors=[1, 1],
+            is_write=[False, False], rid=[0, 1],
+        )
+        with pytest.raises(ValueError, match="negative arrival_time"):
+            simulate(ConstantDevice(), FCFSScheduler(), batch)
+
+    def test_batch_and_list_streams_agree(self):
+        requests = [req(i * 0.3, lbn=i, rid=i) for i in range(6)]
+        from_list = simulate(ConstantDevice(), FCFSScheduler(), requests)
+        from_batch = simulate(
+            ConstantDevice(),
+            FCFSScheduler(),
+            RequestBatch.from_requests(requests),
+        )
+        assert from_list.records == from_batch.records
+
+    def test_untraced_run_detaches_previous_tracer(self):
+        # A device and scheduler reused from a traced run must stop
+        # emitting into that run's sink once an untraced run takes over.
+        device = ConstantDevice()
+        scheduler = FCFSScheduler()
+        tracer = RingBufferTracer()
+        Simulation(device, scheduler, tracer=tracer).run([req(0.0)])
+        emitted = len(tracer)
+        Simulation(device, scheduler).run([req(0.0)])
+        assert len(tracer) == emitted
+        assert not device.tracer.enabled
+        assert not scheduler.tracer.enabled
+
     def test_end_time_is_last_completion(self):
         device = ConstantDevice(service_time=0.25)
         result = simulate(device, FCFSScheduler(), [req(0.0), ])
         assert result.end_time == pytest.approx(0.25)
 
 
-class RecordingObserver(SimulationObserver):
-    def __init__(self):
-        self.events = []
+def sim_events(tracer):
+    """The ``sim.*`` events of a traced run as compact comparable tuples."""
+    shaped = []
+    for event in tracer.events:
+        kind = event["kind"]
+        if kind == "sim.start":
+            shaped.append(("start", event["t"], event["requests"]))
+        elif kind == "sim.end":
+            shaped.append(("end", event["t"], event["completed"]))
+        elif kind in ("sim.arrival", "sim.dispatch"):
+            shaped.append(
+                (kind[4:], event["t"], event["rid"], event["queue_depth"])
+            )
+        elif kind == "sim.complete":
+            shaped.append(("complete", event["t"], event["rid"]))
+    return shaped
 
-    def on_dispatch(self, time, record):
-        self.events.append(("dispatch", time))
 
-    def on_complete(self, time, record):
-        self.events.append(("complete", time))
+def run_both(requests, service_time=1.0, max_queue_depth=None):
+    """Run ``requests`` untraced and traced on fresh stub stacks.
 
-    def on_idle(self, time):
-        self.events.append(("idle", time))
+    Asserts the two runs agree on every record, the end time, and the
+    service order; returns the untraced result and the traced ``sim.*``
+    event sequence.
+    """
+    plain_device = ConstantDevice(service_time)
+    plain = Simulation(
+        plain_device, FCFSScheduler(), max_queue_depth=max_queue_depth
+    ).run(list(requests))
+    tracer = RingBufferTracer()
+    traced_device = ConstantDevice(service_time)
+    traced = Simulation(
+        traced_device,
+        FCFSScheduler(),
+        max_queue_depth=max_queue_depth,
+        tracer=tracer,
+    ).run(list(requests))
+    assert traced.records == plain.records
+    assert traced.end_time == plain.end_time
+    assert traced_device.served == plain_device.served
+    return plain, sim_events(tracer)
 
-    def on_end(self, time):
-        self.events.append(("end", time))
 
+class TestEventOrdering:
+    """Adversarial streams, pinned through the engine's trace events.
 
-class TestObservers:
-    def test_observer_sequence(self):
-        device = ConstantDevice(service_time=1.0)
-        observer = RecordingObserver()
-        simulate(
-            device,
-            FCFSScheduler(),
-            [req(0.0, rid=0), req(0.2, lbn=1, rid=1)],
-            observers=[observer],
-        )
-        kinds = [kind for kind, _ in observer.events]
-        assert kinds == [
-            "dispatch",
-            "complete",
-            "dispatch",
-            "complete",
-            "idle",
-            "end",
+    Every case runs untraced and traced and must agree on the records; the
+    traced ``sim.*`` sequence pins the arrival/dispatch/complete order, the
+    clock at each event, and the queue depths (an idle device shows up as
+    a ``complete`` not followed by a ``dispatch`` at the same instant).
+    """
+
+    def test_equal_arrival_times_break_ties_by_rid(self):
+        requests = [
+            req(0.0, lbn=3, rid=2),
+            req(0.0, lbn=1, rid=0),
+            req(0.0, lbn=2, rid=1),
+        ]
+        result, events = run_both(requests)
+        assert [r.request.request_id for r in result.records] == [0, 1, 2]
+        assert events == [
+            ("start", 0.0, 3),
+            ("arrival", 0.0, 0, 1),
+            ("dispatch", 0.0, 0, 1),
+            ("arrival", 0.0, 1, 1),
+            ("arrival", 0.0, 2, 2),
+            ("complete", 1.0, 0),
+            ("dispatch", 1.0, 1, 2),
+            ("complete", 2.0, 1),
+            ("dispatch", 2.0, 2, 1),
+            ("complete", 3.0, 2),
+            ("end", 3.0, 3),
         ]
 
-    def test_idle_only_when_queue_empty(self):
-        device = ConstantDevice(service_time=1.0)
-        observer = RecordingObserver()
-        simulate(
-            device,
-            FCFSScheduler(),
-            [req(0.0, rid=0), req(0.1, lbn=1, rid=1)],
-            observers=[observer],
+    def test_arrival_at_completion_instant_of_idle_device(self):
+        # The completion at t=1 is handled first: the device goes idle,
+        # then the arrival at t=1 dispatches with zero wait.
+        result, events = run_both([req(0.0, rid=0), req(1.0, lbn=1, rid=1)])
+        assert result.records[1].dispatch_time == 1.0
+        assert events == [
+            ("start", 0.0, 2),
+            ("arrival", 0.0, 0, 1),
+            ("dispatch", 0.0, 0, 1),
+            ("complete", 1.0, 0),
+            ("arrival", 1.0, 1, 1),
+            ("dispatch", 1.0, 1, 1),
+            ("complete", 2.0, 1),
+            ("end", 2.0, 2),
+        ]
+
+    def test_arrival_at_completion_instant_with_queue(self):
+        # The queued request is dispatched at the completion instant
+        # before the simultaneous arrival joins the queue.
+        result, events = run_both(
+            [req(0.0, rid=0), req(0.5, lbn=1, rid=1), req(1.0, lbn=2, rid=2)]
         )
-        idles = [e for e in observer.events if e[0] == "idle"]
-        assert len(idles) == 1
+        assert [r.dispatch_time for r in result.records] == [0.0, 1.0, 2.0]
+        assert events == [
+            ("start", 0.0, 3),
+            ("arrival", 0.0, 0, 1),
+            ("dispatch", 0.0, 0, 1),
+            ("arrival", 0.5, 1, 1),
+            ("complete", 1.0, 0),
+            ("dispatch", 1.0, 1, 1),
+            ("arrival", 1.0, 2, 1),
+            ("complete", 2.0, 1),
+            ("dispatch", 2.0, 2, 1),
+            ("complete", 3.0, 2),
+            ("end", 3.0, 3),
+        ]
+
+    def test_zero_interarrival_bursts(self):
+        requests = [req(0.0, lbn=i, rid=i) for i in range(4)] + [
+            req(2.0, lbn=i, rid=i) for i in range(4, 7)
+        ]
+        result, events = run_both(requests, service_time=0.5)
+        assert len(result) == 7
+        assert events == [
+            ("start", 0.0, 7),
+            ("arrival", 0.0, 0, 1),
+            ("dispatch", 0.0, 0, 1),
+            ("arrival", 0.0, 1, 1),
+            ("arrival", 0.0, 2, 2),
+            ("arrival", 0.0, 3, 3),
+            ("complete", 0.5, 0),
+            ("dispatch", 0.5, 1, 3),
+            ("complete", 1.0, 1),
+            ("dispatch", 1.0, 2, 2),
+            ("complete", 1.5, 2),
+            ("dispatch", 1.5, 3, 1),
+            ("complete", 2.0, 3),
+            ("arrival", 2.0, 4, 1),
+            ("dispatch", 2.0, 4, 1),
+            ("arrival", 2.0, 5, 1),
+            ("arrival", 2.0, 6, 2),
+            ("complete", 2.5, 4),
+            ("dispatch", 2.5, 5, 2),
+            ("complete", 3.0, 5),
+            ("dispatch", 3.0, 6, 1),
+            ("complete", 3.5, 6),
+            ("end", 3.5, 7),
+        ]
+
+    def test_empty_stream(self):
+        result, events = run_both([])
+        assert len(result) == 0
+        assert result.end_time == 0.0
+        assert events == [("start", 0.0, 0), ("end", 0.0, 0)]
+
+    def test_single_request_stream(self):
+        result, events = run_both([req(0.25, lbn=7, rid=0)], service_time=0.5)
+        assert result.records[0].completion_time == 0.75
+        assert events == [
+            ("start", 0.0, 1),
+            ("arrival", 0.25, 0, 1),
+            ("dispatch", 0.25, 0, 1),
+            ("complete", 0.75, 0),
+            ("end", 0.75, 1),
+        ]
+
+    def test_unsorted_list(self):
+        requests = [
+            req(2.0, lbn=5, rid=3),
+            req(0.5, lbn=4, rid=2),
+            req(0.0, lbn=3, rid=1),
+            req(0.0, lbn=2, rid=0),
+        ]
+        result, events = run_both(requests)
+        assert [r.request.request_id for r in result.records] == [0, 1, 2, 3]
+        assert events == [
+            ("start", 0.0, 4),
+            ("arrival", 0.0, 0, 1),
+            ("dispatch", 0.0, 0, 1),
+            ("arrival", 0.0, 1, 1),
+            ("arrival", 0.5, 2, 2),
+            ("complete", 1.0, 0),
+            ("dispatch", 1.0, 1, 2),
+            ("complete", 2.0, 1),
+            ("dispatch", 2.0, 2, 1),
+            ("arrival", 2.0, 3, 1),
+            ("complete", 3.0, 2),
+            ("dispatch", 3.0, 3, 1),
+            ("complete", 4.0, 3),
+            ("end", 4.0, 4),
+        ]
+
+    def test_overflow_exactly_at_max_queue_depth(self):
+        # Five back-to-back arrivals on a slow device: the first dispatches
+        # at once, so the pending queue peaks at exactly four requests.
+        requests = [req(i * 0.25, lbn=i, rid=i) for i in range(5)]
+        result, events = run_both(
+            requests, service_time=100.0, max_queue_depth=4
+        )
+        assert len(result) == 5
+        assert max(e[3] for e in events if e[0] == "arrival") == 4
+        for tracer in (None, RingBufferTracer()):
+            sim = Simulation(
+                ConstantDevice(100.0),
+                FCFSScheduler(),
+                max_queue_depth=3,
+                tracer=tracer,
+            )
+            with pytest.raises(
+                QueueOverflowError,
+                match=r"exceeded 3 requests at t=1\.0000s",
+            ):
+                sim.run(list(requests))

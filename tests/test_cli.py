@@ -271,3 +271,55 @@ class TestFleetCommand:
         path.write_text('{"members": [{}], "routr": "hash"}')
         assert main(["fleet", "--config", str(path)]) == 2
         assert "did you mean 'router'" in capsys.readouterr().err
+
+
+class TestEmptyAndMalformedInputs:
+    """Runs with nothing to report and unreadable configs exit 2 cleanly."""
+
+    def _error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_simulate_zero_requests(self, capsys):
+        line = self._error(capsys, ["simulate", "--requests", "0"])
+        assert "no completed requests" in line
+        assert "0 requests" in line
+
+    def test_simulate_warmup_drops_everything(self, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text('{"num_requests": 50, "warmup": 50}')
+        line = self._error(capsys, ["simulate", "--config", str(path)])
+        assert "warmup 50 drops all 50 requests" in line
+
+    def test_fleet_zero_requests(self, capsys):
+        line = self._error(
+            capsys, ["fleet", "--members", "2", "--requests", "0"]
+        )
+        assert "no completed requests" in line
+
+    def test_fleet_member_warmup_drops_everything(self, tmp_path, capsys):
+        import json
+
+        from repro.fleet import FleetConfig
+        from repro.sim import SimConfig
+
+        path = tmp_path / "fleet.json"
+        fleet = FleetConfig.uniform(
+            2, member=SimConfig(warmup=100), rate=800.0, num_requests=60
+        )
+        path.write_text(json.dumps(fleet.to_dict()))
+        line = self._error(capsys, ["fleet", "--config", str(path)])
+        assert "drops all 60 routed requests" in line
+
+    @pytest.mark.parametrize("command", ["simulate", "fleet"])
+    def test_malformed_json_names_file_line_col(
+        self, tmp_path, capsys, command
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text('{"rate": 800,\n  oops\n}\n')
+        line = self._error(capsys, [command, "--config", str(path)])
+        assert f"{path}:2:3: invalid JSON" in line

@@ -1,24 +1,26 @@
-"""Columnar-path identity: batches must equal the object path, bitwise.
+"""Columnar-path identity: batches must equal the scalar references, bitwise.
 
-The columnar pipeline (RequestBatch generation, array routing) is an
-optimization, not a semantic fork — these tests pin the contract from two
-sides:
+The columnar pipeline (RequestBatch generation, array routing) is pinned
+from two sides:
 
 * every workload generator's ``generate_batch`` materializes to exactly
   the request list its ``generate`` builds, across seeds, rates, and
   footprints (float-exact, not approx: both paths must perform the same
   IEEE operations in the same order);
 * every built-in router's ``route_array``/``member_lbn_array`` agree
-  element-for-element with the scalar ``route``/``member_lbn`` over the
+  element-for-element with a plain-Python reference of the policy (below,
+  with :func:`~repro.fleet.routing.mix64` as the hash reference) over the
   same stream, including the stateful greedy policy.
 
 ``Request`` is a NamedTuple, so ``==`` over request lists compares every
 field of every row with no tolerance.
 """
 
+import bisect
+
 import pytest
 
-from repro.fleet.routing import ROUTERS
+from repro.fleet.routing import ROUTERS, mix64
 from repro.nputil import get_numpy
 from repro.sim.batch import RequestBatch
 from repro.workloads.cello import CelloLikeWorkload
@@ -128,8 +130,42 @@ class TestGeneratorBatchIdentity:
 HETEROGENEOUS = (300_000, 100_000, 500_000, 200_000)
 
 
+def reference_route(name, requests, capacities, chunk_sectors=256):
+    """Each policy's assignment, one request at a time in plain Python.
+
+    Returns the member list and, for the greedy policy, the final loads.
+    """
+    members = len(capacities)
+    if name == "lbn-range":
+        starts = [sum(capacities[:index]) for index in range(members)]
+        return [bisect.bisect_right(starts, r.lbn) - 1 for r in requests], None
+    if name == "hash":
+        return [
+            mix64(r.lbn // chunk_sectors) % members for r in requests
+        ], None
+    if name == "round-robin":
+        return [r.request_id % members for r in requests], None
+    load = [0] * members
+    assigned = []
+    for request in requests:
+        member = load.index(min(load))
+        load[member] += request.sectors
+        assigned.append(member)
+    return assigned, load
+
+
+def reference_member_lbn(name, lbn, member, capacities):
+    """The policy's localization of one fleet-wide LBN."""
+    if name == "lbn-range":
+        return lbn - sum(capacities[:member])
+    return lbn % capacities[member]
+
+
+ROUTER_NAMES = ["lbn-range", "hash", "round-robin", "least-loaded-static"]
+
+
 class TestRouterArrayIdentity:
-    """All four policies: array routing == scalar routing, row for row."""
+    """All four policies: array routing == the scalar reference, per row."""
 
     @pytest.fixture()
     def batch(self):
@@ -138,49 +174,37 @@ class TestRouterArrayIdentity:
             fleet_capacity, rate=1000.0, seed=11
         ).generate_batch(COUNT)
 
-    @pytest.mark.parametrize("name", ["lbn-range", "hash", "round-robin",
-                                      "least-loaded-static"])
+    @pytest.mark.parametrize("name", ROUTER_NAMES)
     def test_route_array_matches_scalar(self, name, batch):
         np = get_numpy()
-        requests = batch.to_requests()
-        # Fresh routers per path: the greedy policy mutates member loads.
-        scalar_router = ROUTERS.create(name, HETEROGENEOUS)
-        array_router = ROUTERS.create(name, HETEROGENEOUS)
-        scalar = [scalar_router.route(request) for request in requests]
-        array = array_router.route_array(batch)
+        router = ROUTERS.create(name, HETEROGENEOUS)
+        expected, load = reference_route(
+            name, batch.to_requests(), HETEROGENEOUS
+        )
+        array = router.route_array(batch)
         assert array.dtype == np.int64
-        assert array.tolist() == scalar
-        # Stateful policies must leave identical state behind.
-        if hasattr(scalar_router, "_load"):
-            assert array_router._load == scalar_router._load
+        assert array.tolist() == expected
+        # Stateful policies must leave the reference's state behind.
+        if load is not None:
+            assert router._load == load
 
-    @pytest.mark.parametrize("name", ["lbn-range", "hash", "round-robin",
-                                      "least-loaded-static"])
+    @pytest.mark.parametrize("name", ROUTER_NAMES)
     def test_member_lbn_array_matches_scalar(self, name, batch):
-        np = get_numpy()
-        requests = batch.to_requests()
-        scalar_router = ROUTERS.create(name, HETEROGENEOUS)
-        array_router = ROUTERS.create(name, HETEROGENEOUS)
-        scalar_members = [
-            scalar_router.route(request) for request in requests
+        router = ROUTERS.create(name, HETEROGENEOUS)
+        members = router.route_array(batch)
+        local = router.member_lbn_array(batch.lbn, members)
+        assert local.tolist() == [
+            reference_member_lbn(name, lbn, member, HETEROGENEOUS)
+            for lbn, member in zip(batch.lbn.tolist(), members.tolist())
         ]
-        scalar_local = [
-            scalar_router.member_lbn(request, member)
-            for request, member in zip(requests, scalar_members)
-        ]
-        members = array_router.route_array(batch)
-        local = array_router.member_lbn_array(batch.lbn, members)
-        assert members.tolist() == scalar_members
-        assert local.tolist() == scalar_local
 
     def test_hash_router_chunk_parameter(self, batch):
-        scalar_router = ROUTERS.create("hash", HETEROGENEOUS)
-        array_router = ROUTERS.create("hash", HETEROGENEOUS)
-        assert scalar_router.chunk_sectors == array_router.chunk_sectors
-        requests = batch.to_requests()
-        assert array_router.route_array(batch).tolist() == [
-            scalar_router.route(request) for request in requests
-        ]
+        for chunk in (1, 256, 4096):
+            router = ROUTERS.create("hash", HETEROGENEOUS, chunk_sectors=chunk)
+            expected, _ = reference_route(
+                "hash", batch.to_requests(), HETEROGENEOUS, chunk
+            )
+            assert router.route_array(batch).tolist() == expected
 
 
 class TestBatchRoundTrip:
