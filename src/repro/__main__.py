@@ -27,6 +27,7 @@ from repro import (
     atlas_10k,
 )
 from repro.experiments import ALL_EXPERIMENTS, runner
+from repro.experiments.parallel import resolve_jobs
 from repro.experiments.runner import run_experiments
 from repro.sim import QueueOverflowError
 
@@ -318,6 +319,11 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         for name in ALL_EXPERIMENTS:
             print(name)
         return 0
+    try:
+        resolve_jobs(args.jobs)  # a bad REPRO_JOBS fails here, not mid-run
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     names = args.names or list(ALL_EXPERIMENTS)
     run_experiments(names, jobs=args.jobs, report_path=args.report)
     return 0

@@ -31,10 +31,15 @@ Results are bit-identical to the sequential path: each point performs
 exactly the same computation either way (same seeds, same float operations),
 and the pool map preserves task order.
 
+Forked workers inherit the parent's modules, so :func:`parallel_map`
+imports numpy in the parent just before either pool path forks: once per
+process, instead of once per worker of every per-call pool.
+
 ``--jobs N`` on :mod:`repro.experiments.runner` / ``python -m repro
 experiments`` sets the process-wide default consumed by
-:func:`repro.experiments.common.scheduling_sweep`; the ``REPRO_JOBS``
-environment variable seeds that default.
+:func:`repro.experiments.common.scheduling_sweep`; without one, the
+``REPRO_JOBS`` environment variable supplies it, read each time jobs are
+resolved so that a bad value fails the sweep that uses it, not the import.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ import multiprocessing
 import os
 import pickle
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+
+from repro.nputil import get_numpy
 
 _POINT_FN: Optional[Callable] = None
 """Work function inherited by forked pool workers; valid only while a
@@ -86,22 +93,28 @@ def get_default_jobs() -> Optional[int]:
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Map an explicit or defaulted ``jobs`` value to a concrete count."""
+    """Map an explicit or defaulted ``jobs`` value to a concrete count.
+
+    ``None`` falls back to the process-wide default, then to
+    ``REPRO_JOBS``, then to 1.  Raises ``ValueError`` for a count below 1
+    or a ``REPRO_JOBS`` that is not one.
+    """
     if jobs is None:
         jobs = _default_jobs
     if jobs is None:
-        return 1
+        return _env_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1: {jobs}")
     return jobs
 
 
-_env_jobs = os.environ.get("REPRO_JOBS")
-if _env_jobs:
-    try:
-        set_default_jobs(int(_env_jobs))
-    except ValueError:  # pragma: no cover - bad env value
-        pass
+def _env_jobs() -> int:
+    text = os.environ.get("REPRO_JOBS", "").strip()
+    if not text:
+        return 1
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {text!r}")
 
 
 # -- persistent pool + shared-memory column handoff --------------------------- #
@@ -310,6 +323,7 @@ def parallel_map(
     workers = effective_workers(jobs, len(tasks))
     if workers <= 1:
         return [point_fn(*task) for task in tasks]
+    get_numpy()  # before forking, so no worker imports it again
     if _fn_picklable(point_fn):
         pool = _persistent_pool(workers)
         segments: list = []

@@ -90,6 +90,38 @@ class TestParallelMap:
         assert available_parallelism() >= 1
 
 
+class TestReproJobsEnvironment:
+    """``REPRO_JOBS`` is read when jobs are resolved, never at import, and
+    a value that is not a positive integer is an error, not a silent 1."""
+
+    @pytest.fixture(autouse=True)
+    def _no_default(self):
+        old = get_default_jobs()
+        set_default_jobs(None)
+        yield
+        set_default_jobs(old)
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_value_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match=f"REPRO_JOBS.*'{value}'"):
+            resolve_jobs(None)
+
+    def test_read_at_resolution(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert resolve_jobs(None) == 3
+        monkeypatch.setenv("REPRO_JOBS", "")
+        assert resolve_jobs(None) == 1
+        monkeypatch.delenv("REPRO_JOBS")
+        assert resolve_jobs(None) == 1
+
+    def test_explicit_and_default_jobs_win(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        assert resolve_jobs(2) == 2
+        set_default_jobs(4)
+        assert resolve_jobs(None) == 4
+
+
 class TestPersistentPool:
     """Module-level work functions ride a long-lived pool that is reused
     across ``parallel_map`` calls, with batch columns handed over through

@@ -315,6 +315,13 @@ class TestEmptyAndMalformedInputs:
         line = self._error(capsys, ["fleet", "--config", str(path)])
         assert "drops all 60 routed requests" in line
 
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_experiments_bad_repro_jobs(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        line = self._error(capsys, ["experiments", "table02"])
+        assert f"REPRO_JOBS must be an integer >= 1, got '{value}'" in line
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("command", ["simulate", "fleet"])
     def test_malformed_json_names_file_line_col(
         self, tmp_path, capsys, command
