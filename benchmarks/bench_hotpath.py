@@ -4,23 +4,18 @@ Three measurements, emitted as machine-readable JSON (``BENCH_hotpath.json``
 at the repo root) so regressions are diffable across commits:
 
 * **SPTF dispatch** at fixed queue depths 16/64/256 — a steady-state
-  pop/service/refill loop, timed with the geometry/profile/estimate caches
-  on versus the uncached baseline (``MEMSDevice(memoize=False)`` +
-  ``SPTFScheduler(cache=False)``, which reproduces the pre-optimization
-  hot path).  Both legs use the full scan (``prune=False``) so the rows
-  isolate the caching layers; the dispatch order is asserted identical
-  between the two.
-* **Pruned SPTF dispatch** at depths 16/64/256/1024 — the lower-bound
-  bucket walk (``prune=True``, the production default) against the cached
-  full scan, with the priced/pruned candidate split read back from the
-  scheduler's telemetry counters.  The dispatch order is asserted
-  bit-identical, and at depth >= 64 the pruned leg must price strictly
-  fewer candidates than it had pending.
-* **Adaptive SPTF dispatch** at depths spanning the ``prune='auto'``
-  regimes (scalar scan <= 8, vectorized screen, pruned walk) — the
-  production default against the cached full scan, with the fast path(s)
-  taken read back from ``sched.dispatch`` telemetry and the dispatch order
-  asserted bit-identical.
+  pop/service/refill loop, timed with the production stack (memoizing
+  device, :class:`~repro.core.scheduling.sptf.SPTFScheduler`) against the
+  uncached baseline (``MEMSDevice(memoize=False)`` + :class:`FullScanSPTF`,
+  a plain scan defined here, which reproduces the pre-optimization hot
+  path).  The dispatch order is asserted identical between the two.
+* **Pruned SPTF dispatch** at depths 4/16/64/256/1024 — the production
+  selection (a scan up to ``SCAN_DEPTH`` pending requests, best-first by
+  lower bound deeper) against :class:`FullScanSPTF` on the same memoizing
+  device, with the priced candidates and the fast paths taken read back
+  from the scheduler's per-dispatch telemetry.  The dispatch order is
+  asserted bit-identical, and at depth >= 64 the production leg must
+  price strictly fewer candidates than it had pending.
 * **End-to-end throughput** — one whole SPTF simulation at the sweep's
   heaviest rate, reported as events/second against the pinned
   ``END_TO_END_MIN_EVENTS_PER_S`` floor (asserted in the smoke test).
@@ -64,11 +59,14 @@ import random
 import sys
 import time
 
+from repro.core.scheduling.base import ListScheduler
+from repro.core.scheduling.sptf import SCAN_DEPTH, SPTFScheduler
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_hotpath.json"
 
 DISPATCH_DEPTHS = (16, 64, 256)
-PRUNED_DEPTHS = (16, 64, 256, 1024)
+PRUNED_DEPTHS = (4, 16, 64, 256, 1024)
 SWEEP_RATES = (200.0, 500.0, 800.0, 1100.0, 1400.0, 1700.0, 2000.0)
 SWEEP_ALGORITHMS = ("FCFS", "SSTF_LBN", "C-LOOK", "SPTF")
 
@@ -79,12 +77,33 @@ def _make_device(memoize: bool):
     return MEMSDevice(memoize=memoize)
 
 
+class FullScanSPTF(ListScheduler):
+    """Plain SPTF scan: price every pending request, keep the first
+    minimum.  The baseline every optimized leg is checked against."""
+
+    name = "SPTF"
+
+    def __init__(self, device) -> None:
+        super().__init__()
+        self._device = device
+
+    def select_index(self, now: float) -> int:
+        estimate = self._device.estimate_positioning
+        best_index = 0
+        best = None
+        for index, request in enumerate(self._queue):
+            predicted = estimate(request, now)
+            if best is None or predicted < best:
+                best = predicted
+                best_index = index
+        return best_index
+
+
 def dispatch_loop(
     depth: int,
     dispatches: int,
     memoize: bool,
-    cache: bool,
-    prune: bool = False,
+    full_scan: bool = False,
     tracer=None,
 ):
     """Steady-state SPTF dispatch at constant queue depth.
@@ -92,17 +111,18 @@ def dispatch_loop(
     Pops the scheduler's choice, services it, and refills the queue from a
     seeded request stream, so every dispatch selects among exactly
     ``depth`` pending requests (the full scan prices all of them; the
-    ``prune=True`` walk prices a subset).  ``tracer`` optionally attaches
-    an obs sink to the device and scheduler (the engine-less analogue of
-    what ``Simulation`` does).  Returns (seconds, dispatch order as LBNs,
-    scheduler) — the scheduler exposes the cumulative pricing counters.
+    production selection prices a subset once the queue is deeper than
+    ``SCAN_DEPTH``).  ``tracer`` optionally attaches an obs sink to the
+    device and scheduler (the engine-less analogue of what ``Simulation``
+    does).  Returns (seconds, dispatch order as LBNs, candidates priced,
+    fast paths taken); the last two come from the production scheduler's
+    per-dispatch telemetry and are ``None`` for the full scan.
     """
-    from repro.core.scheduling.sptf import SPTFScheduler
     from repro.sim.request import IOKind, Request
 
     rng = random.Random(20260806)
     device = _make_device(memoize)
-    scheduler = SPTFScheduler(device, cache=cache, prune=prune)
+    scheduler = FullScanSPTF(device) if full_scan else SPTFScheduler(device)
     if tracer is not None:
         device.tracer = tracer
         scheduler.tracer = tracer
@@ -117,31 +137,40 @@ def dispatch_loop(
         scheduler.add(fresh_request(index))
 
     order = []
+    priced = 0
+    paths = set()
     now = 0.0
     start = time.perf_counter()
     for index in range(dispatches):
         request = scheduler.pop_next(now)
+        if not full_scan:
+            priced += scheduler.last_priced
+            paths.add(scheduler.last_fast_path)
         order.append(request.lbn)
         now += device.service(request, now).total
         scheduler.add(fresh_request(depth + index))
     elapsed = time.perf_counter() - start
-    return elapsed, order, scheduler
+    if full_scan:
+        return elapsed, order, None, None
+    return elapsed, order, priced, sorted(paths)
 
 
 def bench_dispatch(depth: int, dispatches: int, repeats: int) -> dict:
     cached_best = uncached_best = float("inf")
     cached_order = uncached_order = None
     for _ in range(repeats):
-        seconds, order, _ = dispatch_loop(depth, dispatches, True, True)
+        seconds, order, _, _ = dispatch_loop(depth, dispatches, True)
         cached_best = min(cached_best, seconds)
         cached_order = order
-        seconds, order, _ = dispatch_loop(depth, dispatches, False, False)
+        seconds, order, _, _ = dispatch_loop(
+            depth, dispatches, False, full_scan=True
+        )
         uncached_best = min(uncached_best, seconds)
         uncached_order = order
     if cached_order != uncached_order:
         raise AssertionError(
-            f"dispatch order diverged at depth {depth}: caches changed "
-            f"the SPTF selection"
+            f"dispatch order diverged at depth {depth}: the production "
+            f"stack changed the SPTF selection"
         )
     return {
         "depth": depth,
@@ -153,42 +182,40 @@ def bench_dispatch(depth: int, dispatches: int, repeats: int) -> dict:
 
 
 def bench_pruned(depth: int, dispatches: int, repeats: int) -> dict:
-    """Lower-bound-pruned selection against the cached full scan.
+    """The production selection against the full scan.
 
-    Both legs run the caches-on configuration, so the row isolates the
-    pruning walk itself.  The pruned scheduler's cumulative pricing
-    counters (every pricing is a cache hit or miss) give the fraction of
-    candidates whose exact estimate was ever consulted; the pruning is
-    only correct if the dispatch orders are bit-identical, which is
-    asserted every repeat.
+    Both legs run on a memoizing device, so the row isolates the
+    selection itself.  The production scheduler's per-dispatch telemetry
+    gives the candidates whose exact estimate was consulted and the fast
+    paths taken (``scan`` up to ``SCAN_DEPTH`` pending, ``pruned``
+    deeper); the selection is only correct if the dispatch orders are
+    bit-identical, which is asserted every repeat.
     """
     pruned_best = scan_best = float("inf")
-    pruned_sched = None
     for _ in range(repeats):
-        seconds, pruned_order, sched = dispatch_loop(
-            depth, dispatches, True, True, prune=True
+        seconds, pruned_order, priced, paths = dispatch_loop(
+            depth, dispatches, True
         )
         pruned_best = min(pruned_best, seconds)
-        pruned_sched = sched
-        seconds, scan_order, _ = dispatch_loop(
-            depth, dispatches, True, True, prune=False
+        seconds, scan_order, _, _ = dispatch_loop(
+            depth, dispatches, True, full_scan=True
         )
         scan_best = min(scan_best, seconds)
         if pruned_order != scan_order:
             raise AssertionError(
-                f"dispatch order diverged at depth {depth}: pruning changed "
-                f"the SPTF selection"
+                f"dispatch order diverged at depth {depth}: best-first "
+                f"pricing changed the SPTF selection"
             )
     candidates = depth * dispatches
-    priced = pruned_sched.cache_hits + pruned_sched.cache_misses
     if depth >= 64 and priced >= candidates:
         raise AssertionError(
             f"pruned SPTF priced {priced}/{candidates} candidates at depth "
-            f"{depth}: the lower-bound walk never pruned anything"
+            f"{depth}: the lower-bound ordering never pruned anything"
         )
     return {
         "depth": depth,
         "dispatches": dispatches,
+        "fast_paths": paths,
         "pruned_s": round(pruned_best, 6),
         "cached_scan_s": round(scan_best, 6),
         "speedup_vs_cached_scan": round(scan_best / pruned_best, 3),
@@ -215,19 +242,19 @@ def bench_tracing(depth: int, dispatches: int, repeats: int) -> dict:
     null_best = ring_best = jsonl_best = float("inf")
     null_order = ring_order = None
     for _ in range(repeats):
-        seconds, null_order, _ = dispatch_loop(depth, dispatches, True, True)
+        seconds, null_order, _, _ = dispatch_loop(depth, dispatches, True)
         null_best = min(null_best, seconds)
         ring = RingBufferTracer(capacity=4096)
-        seconds, ring_order, _ = dispatch_loop(
-            depth, dispatches, True, True, tracer=ring
+        seconds, ring_order, _, _ = dispatch_loop(
+            depth, dispatches, True, tracer=ring
         )
         ring_best = min(ring_best, seconds)
         fd, path = tempfile.mkstemp(suffix=".jsonl")
         os.close(fd)
         try:
             jsonl = JsonlTracer(path)
-            seconds, jsonl_order, _ = dispatch_loop(
-                depth, dispatches, True, True, tracer=jsonl
+            seconds, jsonl_order, _, _ = dispatch_loop(
+                depth, dispatches, True, tracer=jsonl
             )
             jsonl.close()
         finally:
@@ -266,13 +293,10 @@ def _run_sweep(jobs, rates, algorithms, num_requests):
 def _run_sptf_sweep_uncached(rates, num_requests):
     """SPTF-only sweep with every cache off — the seed-equivalent baseline.
 
-    ``random_workload_sweep`` builds cached schedulers, so this mirrors its
-    per-point loop with ``SPTFScheduler(cache=False, prune="never")`` on an
-    uncached device.  ``prune="never"`` matters: the constructor default is
-    the adaptive ``"auto"``, which would hand the *baseline* the vectorized
-    and pruned fast paths and understate every speedup reported against it.
+    ``random_workload_sweep`` builds production schedulers, so this mirrors
+    its per-point loop with :class:`FullScanSPTF` on an uncached device:
+    the baseline gets neither the device caches nor best-first pricing.
     """
-    from repro.core.scheduling.sptf import SPTFScheduler
     from repro.experiments.common import SweepPoint
     from repro.sim import QueueOverflowError, Simulation
     from repro.workloads import RandomWorkload
@@ -283,7 +307,7 @@ def _run_sptf_sweep_uncached(rates, num_requests):
         device = _make_device(False)
         workload = RandomWorkload(device.capacity_sectors, rate=rate, seed=42)
         requests = workload.generate(num_requests)
-        scheduler = SPTFScheduler(device, cache=False, prune="never")
+        scheduler = FullScanSPTF(device)
         sim = Simulation(device, scheduler, max_queue_depth=4000)
         try:
             result = sim.run(requests).drop_warmup(200)
@@ -378,63 +402,6 @@ def _run_sptf_sweep_optimized(rates, num_requests):
     return time.perf_counter() - start, sweep
 
 
-ADAPTIVE_DEPTHS = (4, 8, 16, 64, 128)
-"""Queue depths for the adaptive-dispatch rows: one in each regime of the
-``prune='auto'`` policy (scalar scan, vectorized screen, pruned walk) plus
-the two boundary depths."""
-
-
-def bench_adaptive(depth: int, dispatches: int, repeats: int) -> dict:
-    """Adaptive selection (``prune='auto'``, the default) vs the full scan.
-
-    Both legs run caches-on; the row isolates what the adaptive dispatch
-    adds over pricing every candidate.  A short traced warmup pass records
-    which fast path(s) the policy actually took at this depth (read back
-    from ``sched.dispatch`` telemetry); the timed legs run untraced.  The
-    dispatch orders are asserted bit-identical every repeat — the adaptive
-    paths must never change a selection.
-    """
-    from repro.obs.tracer import RingBufferTracer
-
-    tracer = RingBufferTracer(capacity=8192)
-    dispatch_loop(depth, 32, True, True, prune="auto", tracer=tracer)
-    fast_paths = sorted(
-        {
-            event["fast_path"]
-            for event in tracer.events
-            if event.get("kind") == "sched.dispatch"
-        }
-    )
-    adaptive_best = scan_best = float("inf")
-    adaptive_sched = None
-    for _ in range(repeats):
-        seconds, adaptive_order, sched = dispatch_loop(
-            depth, dispatches, True, True, prune="auto"
-        )
-        adaptive_best = min(adaptive_best, seconds)
-        adaptive_sched = sched
-        seconds, scan_order, _ = dispatch_loop(
-            depth, dispatches, True, True, prune="never"
-        )
-        scan_best = min(scan_best, seconds)
-        if adaptive_order != scan_order:
-            raise AssertionError(
-                f"dispatch order diverged at depth {depth}: the adaptive "
-                f"fast path changed the SPTF selection"
-            )
-    priced = adaptive_sched.cache_hits + adaptive_sched.cache_misses
-    return {
-        "depth": depth,
-        "dispatches": dispatches,
-        "fast_paths": fast_paths,
-        "adaptive_s": round(adaptive_best, 6),
-        "full_scan_s": round(scan_best, 6),
-        "speedup_vs_full_scan": round(scan_best / adaptive_best, 3),
-        "candidates": depth * dispatches,
-        "candidates_priced": priced,
-    }
-
-
 END_TO_END_MIN_EVENTS_PER_S = 25_000.0
 """CI floor for whole-simulation event throughput (events/second).
 
@@ -443,8 +410,8 @@ rate, counting two events (arrival + completion) per request — the
 engine's unit of work.  The optimized stack clears ~75k events/s on the
 single-core reference container; the floor leaves ~3x headroom for shared-
 host noise while still sitting far above what the pre-optimization hot
-path could reach (~10k events/s), so a regression that loses the adaptive
-dispatch or the pricing caches trips it.
+path could reach (~10k events/s), so a regression that loses best-first
+pricing or the device caches trips it.
 """
 
 
@@ -690,8 +657,8 @@ completion) per request.  The acceptance-scale run (16 members, 1M
 requests) measures ~94k events/s on the single-core reference container
 (up from ~29k before the columnar pipeline: batch ingest with fused
 materialization, NamedTuple hot-path records, vectorized profile priming,
-adaptive memo suppression, the cursor-based event loop, the numpy merge,
-and the fleet-scope GC pause).  The floor leaves ~2x headroom at full
+the cursor-based event loop, the numpy merge, and the fleet-scope GC
+pause).  The floor leaves ~2x headroom at full
 scale while catching a regression that loses any of those layers or makes
 the front-end or merge super-linear.
 """
@@ -929,11 +896,7 @@ def collect(smoke: bool = False, jobs: int = 4) -> dict:
         ],
         "sptf_pruned": [
             bench_pruned(depth, dispatches, repeats)
-            for depth in (PRUNED_DEPTHS[:2] if smoke else PRUNED_DEPTHS)
-        ],
-        "sptf_adaptive": [
-            bench_adaptive(depth, dispatches, repeats)
-            for depth in (ADAPTIVE_DEPTHS[:3] if smoke else ADAPTIVE_DEPTHS)
+            for depth in (PRUNED_DEPTHS[:3] if smoke else PRUNED_DEPTHS)
         ],
         "tracing": [
             bench_tracing(depth, dispatches, repeats) for depth in depths
@@ -996,21 +959,20 @@ def test_hotpath_smoke():
     for row in report["sptf_pruned"]:
         assert row["pruned_s"] > 0 and row["cached_scan_s"] > 0
         assert 0 < row["candidates_priced"] <= row["candidates"]
+        # Scan up to SCAN_DEPTH pending, best-first by lower bound deeper.
+        expected = ["scan"] if row["depth"] <= SCAN_DEPTH else ["pruned"]
+        assert row["fast_paths"] == expected
         if row["depth"] >= 64:
-            # The lower-bound walk must actually prune on a random workload
+            # Best-first pricing must actually prune on a random workload
             # (bench_pruned also raises on this, so the CLI smoke run in CI
             # enforces it too).
             assert row["candidates_priced"] < row["candidates"]
-    for row in report["sptf_adaptive"]:
-        assert row["adaptive_s"] > 0 and row["full_scan_s"] > 0
-        # The traced warmup must have seen the policy pick *some* fast path.
-        assert row["fast_paths"]
     sweep = report["figure06_sweep"]
     assert sweep["sequential_s"] > 0
     assert sweep["speedup_sptf_vs_baseline"] >= 1.0, (
         f"optimized SPTF sweep ran {sweep['speedup_sptf_vs_baseline']:.2f}x "
-        f"the uncached prune='never' baseline — the adaptive dispatch or "
-        f"pricing caches regressed below break-even"
+        f"the uncached full-scan baseline — best-first pricing or the "
+        f"device caches regressed below break-even"
     )
     end_to_end = report["end_to_end"]
     assert end_to_end["events_per_s"] >= END_TO_END_MIN_EVENTS_PER_S, (
@@ -1080,8 +1042,8 @@ def test_null_tracer_overhead():
     if 16 not in by_depth:
         pytest.skip("baseline has no depth-16 dispatch row")
     base = by_depth[16]
-    timed, _, _ = dispatch_loop(16, base["dispatches"], True, True)
-    best = min(timed, dispatch_loop(16, base["dispatches"], True, True)[0])
+    timed = dispatch_loop(16, base["dispatches"], True)[0]
+    best = min(timed, dispatch_loop(16, base["dispatches"], True)[0])
     assert best < base["cached_s"] * 1.5, (
         f"null-tracer dispatch took {best:.4f}s vs baseline "
         f"{base['cached_s']:.4f}s (+50% margin) — tracing hooks likely "
@@ -1093,8 +1055,11 @@ def collect_smoke_subset() -> dict:
     """Smallest meaningful run (used by the pytest smoke entry)."""
     return {
         "sptf_dispatch": [bench_dispatch(16, 32, 1)],
-        "sptf_pruned": [bench_pruned(16, 32, 1), bench_pruned(64, 48, 1)],
-        "sptf_adaptive": [bench_adaptive(8, 32, 1), bench_adaptive(64, 48, 1)],
+        "sptf_pruned": [
+            bench_pruned(4, 32, 1),
+            bench_pruned(16, 32, 1),
+            bench_pruned(64, 48, 1),
+        ],
         "tracing": [bench_tracing(16, 32, 1)],
         "analyze": bench_analyze(1500, 1),
         "obs_live": bench_obs_live(1500, 1),

@@ -11,6 +11,7 @@ Lookup is spelling-tolerant: ``"C-LOOK"``, ``"clook"``, and ``"c_look"``
 all resolve to the same factory.
 """
 
+import inspect
 from typing import Optional
 
 from repro.core.registry import Registry
@@ -29,9 +30,9 @@ PAPER_ALGORITHMS = ("FCFS", "SSTF_LBN", "C-LOOK", "SPTF")
 SCHEDULERS = Registry("scheduler")
 """String-keyed registry of scheduler factories.
 
-Each factory takes ``(device, **kwargs)`` and returns a
-:class:`Scheduler`; register new policies here to make them reachable from
-:func:`make_scheduler`, the CLI, and the experiment sweeps.
+Each factory takes ``device`` plus the keyword options it declares and
+returns a :class:`Scheduler`; register new policies here to make them
+reachable from :func:`make_scheduler`, the CLI, and the experiment sweeps.
 """
 
 
@@ -57,50 +58,38 @@ def default_sectors_per_cylinder(device: StorageDevice) -> int:
 
 
 @SCHEDULERS.register("FCFS")
-def _make_fcfs(device: StorageDevice, **kwargs) -> Scheduler:
+def _make_fcfs(device: StorageDevice) -> Scheduler:
     return FCFSScheduler()
 
 
 @SCHEDULERS.register("SSTF_LBN", aliases=("SSTF",))
-def _make_sstf(device: StorageDevice, **kwargs) -> Scheduler:
+def _make_sstf(device: StorageDevice) -> Scheduler:
     return SSTFScheduler(device)
 
 
 @SCHEDULERS.register("C-LOOK")
-def _make_clook(device: StorageDevice, **kwargs) -> Scheduler:
+def _make_clook(device: StorageDevice) -> Scheduler:
     return CLOOKScheduler(device)
 
 
 @SCHEDULERS.register("SCAN")
-def _make_scan(device: StorageDevice, **kwargs) -> Scheduler:
+def _make_scan(device: StorageDevice) -> Scheduler:
     return SCANScheduler(device)
 
 
 @SCHEDULERS.register("SPTF")
-def _make_sptf(
-    device: StorageDevice, cache: bool = True, prune="auto", **kwargs
-) -> Scheduler:
-    return SPTFScheduler(device, cache=cache, prune=prune)
+def _make_sptf(device: StorageDevice) -> Scheduler:
+    return SPTFScheduler(device)
 
 
 @SCHEDULERS.register("ASPTF")
-def _make_asptf(
-    device: StorageDevice,
-    age_weight: float = 0.01,
-    cache: bool = True,
-    prune="auto",
-    **kwargs,
-) -> Scheduler:
-    return AgedSPTFScheduler(
-        device, age_weight=age_weight, cache=cache, prune=prune
-    )
+def _make_asptf(device: StorageDevice, age_weight: float = 0.01) -> Scheduler:
+    return AgedSPTFScheduler(device, age_weight=age_weight)
 
 
 @SCHEDULERS.register("SXTF")
 def _make_sxtf(
-    device: StorageDevice,
-    sectors_per_cylinder: Optional[int] = None,
-    **kwargs,
+    device: StorageDevice, sectors_per_cylinder: Optional[int] = None
 ) -> Scheduler:
     if sectors_per_cylinder is None:
         sectors_per_cylinder = default_sectors_per_cylinder(device)
@@ -121,19 +110,29 @@ def make_scheduler(
             :func:`repro.core.registry.fold_name`).
         device: The device the scheduler will serve.
         sectors_per_cylinder: ``SXTF`` mapping constant; derived from the
-            device when omitted.
-        **kwargs: Policy-specific options (e.g. ``cache=False`` or
-            ``prune='auto'|'always'|'never'`` — bools still accepted — for
-            the SPTF variants, ``age_weight=`` for ASPTF).
+            device when omitted, and ignored by every other policy.
+        **kwargs: Options the policy's factory declares as keyword
+            parameters (e.g. ``age_weight=`` for ASPTF).  Anything else
+            raises ``ValueError`` naming the scheduler, the unknown options
+            and the accepted ones.
     """
-    if sectors_per_cylinder is not None:
-        kwargs["sectors_per_cylinder"] = sectors_per_cylinder
     try:
         factory = SCHEDULERS[name]
     except KeyError as exc:
         # Reuse the registry's message: it lists registered names and adds
         # a did-you-mean suggestion for near-miss spellings.
         raise ValueError(exc.args[0]) from None
+    options = tuple(inspect.signature(factory).parameters)[1:]
+    unknown = sorted(set(kwargs) - set(options))
+    if unknown:
+        raise ValueError(
+            f"scheduler {SCHEDULERS.canonical_name(name)} does not accept "
+            f"option{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(map(repr, unknown))}; accepted: "
+            f"{', '.join(map(repr, options)) if options else 'none'}"
+        )
+    if sectors_per_cylinder is not None and "sectors_per_cylinder" in options:
+        kwargs["sectors_per_cylinder"] = sectors_per_cylinder
     return factory(device, **kwargs)
 
 

@@ -14,129 +14,63 @@ Two variants are provided:
   its queue wait), trading a little average performance for starvation
   resistance.  Not in the paper; included as an ablation.
 
-Both variants memoize positioning estimates between dispatches: the device's
-mechanical state only changes when a request is dispatched (``pop_next``), so
-an estimate computed while the queue is stable stays valid until then.  The
-cache is invalidated on every dispatch and never changes which request is
-selected (see ``tests/core/scheduling/test_sptf_cache.py``); pass
-``cache=False`` to get the uncached reference behaviour.
+Both select the request a plain scan would: the minimum score, ties going
+to the lowest queue index.  Which of two ways a selection took is
+reported as ``fast_path`` in ``sched.dispatch`` trace events:
 
-On top of the cache, selection is **adaptive in queue depth** (``prune``
-accepts ``'auto'`` — the default — ``'always'``, ``'never'``, or a bool for
-backwards compatibility).  Three selection fast paths exist, every one
-dispatching the *bit-identical* request sequence:
+* ``scan`` — up to :data:`SCAN_DEPTH` pending requests, every candidate is
+  priced with the device's ``estimate_positioning``.  A single candidate
+  is dispatched without pricing anything.
+* ``pruned`` — deeper queues, on devices that publish
+  ``positioning_lower_bounds`` (a dense admissible table indexed by
+  cylinder distance).  One numpy pass computes every candidate's bound
+  from a cylinder column kept beside the queue; the aged variant
+  subtracts each candidate's own aging credit, read from an arrival
+  column, exactly as it does from the exact estimate.  Candidates are
+  then priced best-first in bound order (after the lowest bound is priced,
+  only the bounds at or below its score are sorted), and pricing stops at
+  the first bound strictly greater than the best exact score.  A bound never
+  exceeds its candidate's score, so every candidate that could equal the
+  final best score — and every one that ties it — has been priced, and
+  the strict-``<`` / lowest-index rule picks the scan's winner.
 
-* ``scan`` — the cached scalar scan.  Cheapest at the shallow depths that
-  dominate realistic open-arrival sweeps (a handful of pending requests),
-  where any array bookkeeping loses to a short Python loop.  A
-  single-candidate queue — the overwhelmingly common case in open-arrival
-  runs below saturation — short-circuits before pricing anything: the
-  argmin over one element needs no oracle call at all, and the dispatch
-  is reported with ``candidates_priced == 0``.
-* ``vectorized`` — a per-candidate lower-bound screen (the same dense
-  admissible table the pruned walk uses, discounted per candidate by its
-  exact aging credit) selects the subset that could still win, and one
-  :meth:`estimate_positioning_batch` call prices that subset through the
-  device's array-evaluated kinematics.  The winner is the minimum exact
-  score with the scan's strict-``<`` first-occurrence tie-break; unpriced
-  candidates cannot win because their bound already exceeds an exact
-  score (see ``_vectorized_select``).  Wins once the queue is deep enough
-  to amortize the screen (``VECTORIZED_DEPTH_THRESHOLD``).  On devices
-  with batch pricing but no bound oracle the screen degrades to pricing
-  every candidate.
-* ``pruned`` — lower-bound pruning over cylinder buckets.  The selection
-  walk visits buckets in increasing cylinder distance from the current
-  sled/arm position and stops as soon as the next bucket's admissible lower
-  bound (``device.positioning_lower_bounds``, a dense per-distance table
-  with a monotone suffix-min envelope) *strictly* exceeds the best exact
-  estimate found so far.  Because the bound never exceeds the exact
-  estimate and ties are resolved by arrival order exactly as the naive scan
-  does, the pruned walk only prices fewer candidates (see
-  ``tests/core/scheduling/test_sptf_prune.py``).  When every bucket bound
-  stays at or below the incumbent (e.g. a queue parked on one cylinder) the
-  walk degenerates gracefully to the full scan.  Wins at depths where
-  sub-linear candidate visits beat even vectorized full pricing
-  (``PRUNED_DEPTH_THRESHOLD``).
-
-``prune='auto'`` picks between the three per selection from the pending
-count; ``'always'`` forces the pruned walk (the pre-adaptive behaviour);
-``'never'`` forces the scan.  Every piece of adaptive bookkeeping is built
-lazily by the first selection that needs it: the bucket indexes on the
-first pruned walk, the cylinder shadow list and the device's lower-bound
-table on the first vectorized screen.  Runs that stay shallow pay nothing
-— no per-add cylinder lookups, no bound-table build, no per-dispatch
-bookkeeping beyond the depth check itself — which is what keeps ``auto``
-at parity with the plain scan at trivial depths (the
-``sptf_adaptive`` bench rows).  Which path served each dispatch is
-reported as ``fast_path`` in ``sched.dispatch`` trace events.
+The columns and the bound table are built by the first deep selection, so
+runs that stay shallow never pay for them.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Set, Tuple, Union
+import math
+from typing import Tuple
 
 from repro.core.scheduling.base import ListScheduler
 from repro.nputil import get_numpy
 from repro.sim.device import StorageDevice
 from repro.sim.request import Request
 
-VECTORIZED_DEPTH_THRESHOLD = 8
-"""Pending-queue depth above which ``prune='auto'`` batch-prices candidates.
+SCAN_DEPTH = 8
+"""Deepest pending queue that is priced by a plain scan.
 
-Below this the per-call numpy overhead (array allocation, dispatch) loses
-to a plain Python scan over the handful of candidates; measured crossover
-on CPython 3.12 + numpy 2.x is 6–10 pending requests for both device
-models (see ``benchmarks/bench_hotpath.py``, ``adaptive_depth`` section).
-"""
-
-PRUNED_DEPTH_THRESHOLD = 64
-"""Pending-queue depth above which ``prune='auto'`` takes the pruned walk.
-
-The bucket walk visits a sub-linear slice of deep queues, which beats even
-vectorized full pricing once the queue is wide enough for the lower bounds
-to cut early; below it, the walk's per-bucket Python overhead loses to one
-flat batch call."""
-
-_SCALAR_SURVIVOR_LIMIT = 8
-"""Survivor-set size up to which the vectorized path prices scalarly.
-
-The batch pricing call carries a fixed numpy cost (array build, ufunc
-dispatch) that a handful of scalar :meth:`estimate_positioning` calls —
-bitwise identical per element — undercuts.  Bound screening typically
-leaves only a few candidates alive, so most selections stay under this."""
-
-_PRUNE_MODES = ("auto", "always", "never")
-
-
-def _normalize_prune_mode(prune: Union[bool, str]) -> str:
-    """Map the ``prune`` argument (mode string or legacy bool) to a mode."""
-    if prune is True:
-        return "always"
-    if prune is False:
-        return "never"
-    if prune in _PRUNE_MODES:
-        return prune
-    raise ValueError(
-        f"unknown prune mode {prune!r}: expected 'auto', 'always', "
-        "'never', or a bool"
-    )
+Deeper selections take the best-first path, whose fixed numpy cost (a
+gather, an argmin, a mask and a short sort) a short scan undercuts when
+estimates are cheap.  Timed per dispatch at fixed depths, best-first is
+faster from 4–6 pending requests on MEMS, whose estimates are expensive,
+and from 10–12 on the disk.  At 8 a MEMS selection takes 0.5–0.6 of a
+scan's time while a disk one pays 5–12 µs more (see
+``docs/performance.md``)."""
 
 
 def device_supports_pruning(device: StorageDevice) -> bool:
-    """True when ``device`` exposes the lower-bound pruning oracle.
+    """True when ``device`` exposes the lower-bound pricing oracle.
 
-    The scheduler needs three pieces of narrow state: the dense
-    ``positioning_lower_bounds`` table, the bucket key for a request
-    (``request_cylinder``), and the current mechanical position
-    (``current_cylinder``).  Devices without them (or test doubles) fall
-    back to the plain full scan transparently.
+    The best-first path needs the dense ``positioning_lower_bounds`` table,
+    the cylinder of a request (``request_cylinder``) and the current
+    mechanical position (``current_cylinder``).  Devices without them (or
+    test doubles) are always scanned.
 
     The bounds probe checks the *class* first: on the real devices
-    ``positioning_lower_bounds`` is a lazily-built property, and reading it
-    off the instance here would defeat the laziness by triggering the
-    build during construction of every scheduler.
+    ``positioning_lower_bounds`` is a lazily built property, and reading it
+    off the instance here would trigger the build for every scheduler.
     """
     bounds = getattr(type(device), "positioning_lower_bounds", None)
     if bounds is None:
@@ -148,665 +82,164 @@ def device_supports_pruning(device: StorageDevice) -> bool:
     )
 
 
-def device_supports_batch_pricing(device: StorageDevice) -> bool:
-    """True when ``device`` exposes the vectorized pricing oracle."""
-    return callable(getattr(device, "estimate_positioning_batch", None))
+class SPTFScheduler(ListScheduler):
+    """Greedy minimum-positioning-time selection using the device oracle."""
 
+    name = "SPTF"
 
-class _EstimateCachingScheduler(ListScheduler):
-    """Shared estimate-memoization and pruning plumbing for the SPTF variants.
+    age_weight = 0.0
+    """Aging discount per second of queue wait (0 for pure SPTF)."""
 
-    The cache maps a pending request (by object identity — requests stay
-    alive in the queue, so ids are stable) to its predicted positioning time
-    for the device's *current* mechanical state.  It assumes the device
-    state mutates only via dispatches through this scheduler, which holds
-    for the simulation engine: ``device.service`` is called exactly once per
-    ``pop_next``.
-
-    With pruning enabled the scheduler additionally maintains, per pending
-    request, a cylinder-keyed bucket (insertion-ordered, so bucket order is
-    arrival order) and a monotone arrival sequence number.  The pending
-    list itself stays append-ordered, hence sorted by sequence number —
-    which lets the pruned walk recover the queue index of its winner with a
-    binary search instead of a linear scan.
-    """
-
-    def __init__(
-        self,
-        device: StorageDevice,
-        cache: bool = True,
-        prune: Union[bool, str] = "auto",
-    ) -> None:
+    def __init__(self, device: StorageDevice) -> None:
         super().__init__()
         self._device = device
-        self._estimates: Optional[Dict[int, float]] = {} if cache else None
-        mode = _normalize_prune_mode(prune)
-        self._mode = mode
-        self._can_prune = mode != "never" and device_supports_pruning(device)
-        self._can_batch = mode == "auto" and device_supports_batch_pricing(
-            device
-        )
-        #: Cumulative estimate-cache hits/misses across the scheduler's
-        #: lifetime, maintained by bulk length deltas in ``select_index``
-        #: (never per-candidate work) and reported in ``sched.dispatch``
-        #: trace events.  With ``cache=False`` every pricing is a miss.
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self._prunable = device_supports_pruning(device)
+        # Bound table and per-request columns, aligned with ``_queue`` by
+        # position; ``None`` until the first deep selection.
+        self._bounds = None
+        self._cyls = None
+        self._arrivals = None
         #: Telemetry for the most recent selection: how many requests were
-        #: pending, how many had their exact estimate consulted, and how
-        #: many were never priced.  ``candidates == priced + pruned``
-        #: always.  A single-candidate selection prices nothing (the
-        #: argmin is trivial), so it reports ``priced=0, pruned=1``;
-        #: otherwise without pruning ``pruned`` is 0.
+        #: pending, how many were priced, and how many were not;
+        #: ``candidates == priced + pruned`` always.
         self.last_candidates = 0
         self.last_priced = 0
         self.last_pruned = 0
-        #: Which selection fast path served the most recent dispatch
-        #: (``scan`` / ``vectorized`` / ``pruned``); reported as
-        #: ``fast_path`` in ``sched.dispatch`` trace events.
         self.last_fast_path = "scan"
-        # Pruning indexes (cylinder buckets + arrival sequence numbers).
-        # Maintained incrementally only once ``_indexed`` is set: in
-        # ``'always'`` mode from construction, in ``'auto'`` mode from the
-        # first selection deep enough to take the pruned walk — so runs
-        # that never cross ``PRUNED_DEPTH_THRESHOLD`` pay no per-add
-        # bookkeeping at all.
-        self._indexed = mode == "always" and self._can_prune
-        self._buckets: Dict[int, List[Request]] = {}
-        self._bucket_keys: List[int] = []
-        self._arrival_seq: Dict[int, int] = {}
-        self._next_seq = 0
-        # Cylinder list shadowing the pending queue positionally, feeding
-        # the vectorized bound screen.  Built by the first selection deep
-        # enough to take the vectorized path (``_ensure_cyls``) and
-        # maintained incrementally from then on — runs that stay shallow
-        # never pay the per-add ``request_cylinder`` call.
-        self._cyls_live = False
-        self._cyls: List[int] = []
-        # The device's bound table, captured the first time a deep
-        # selection reads it (the build is lazy and shared per parameter
-        # set) — runs that stay shallow never trigger it.
-        self._bounds_ref: Optional[Tuple[float, ...]] = None
-
-    @property
-    def prune_enabled(self) -> bool:
-        """Whether selection may use the lower-bound bucket walk."""
-        return self._can_prune
-
-    @property
-    def prune_mode(self) -> str:
-        """The normalized adaptive mode (``auto`` / ``always`` / ``never``)."""
-        return self._mode
 
     def add(self, request: Request) -> None:
-        super().add(request)
-        if self._cyls_live:
-            self._cyls.append(self._device.request_cylinder(request))
-        if self._indexed:
-            self._arrival_seq[id(request)] = self._next_seq
-            self._next_seq += 1
-            key = self._device.request_cylinder(request)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = [request]
-                insort(self._bucket_keys, key)
-            else:
-                bucket.append(request)
+        cyls = self._cyls
+        if cyls is not None:
+            size = len(self._queue)
+            if size == len(cyls):
+                np = get_numpy()
+                cyls = self._cyls = np.resize(cyls, 2 * size)
+                self._arrivals = np.resize(self._arrivals, 2 * size)
+            cyls[size] = self._device.request_cylinder(request)
+            self._arrivals[size] = request.arrival_time
+        self._queue.append(request)
 
     def pop_next(self, now: float = 0.0) -> Request:
-        # Replays ``ListScheduler.pop_next`` inline: the cylinder shadow
-        # list is positional, so the removal index must be kept in hand
-        # rather than recovered from the dispatched request.
         queue = self._queue
         if not queue:
             raise IndexError("scheduler queue is empty")
         candidates = len(queue)
         index = self.select_index(now)
         request = queue.pop(index)
-        if self._cyls_live:
-            del self._cyls[index]
-        # Dispatching mutates the device's mechanical state, so every
-        # memoized estimate is stale from here on.
-        if self._estimates is not None:
-            self._estimates.clear()
-        if self._indexed:
-            self._forget(request)
+        cyls = self._cyls
+        if cyls is not None:
+            cyls[index : candidates - 1] = cyls[index + 1 : candidates]
+            arrivals = self._arrivals
+            arrivals[index : candidates - 1] = arrivals[index + 1 : candidates]
         if self.tracer.enabled:
             self._trace_dispatch(now, candidates, request)
         return request
 
-    def _build_indexes(self) -> None:
-        """Build the pruning indexes from the current pending queue.
-
-        Called by the first selection that takes the pruned path in
-        ``'auto'`` mode.  The queue is append-ordered, so enumerating it
-        assigns arrival sequence numbers in arrival order — the same
-        numbering incremental maintenance would have produced — and from
-        here on ``add``/``pop_next`` keep the indexes current.
-        """
-        request_cylinder = self._device.request_cylinder
-        buckets = self._buckets
-        seq_of = self._arrival_seq
-        next_seq = self._next_seq
-        for request in self._queue:
-            seq_of[id(request)] = next_seq
-            next_seq += 1
-            key = request_cylinder(request)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [request]
-            else:
-                bucket.append(request)
-        self._next_seq = next_seq
-        self._bucket_keys = sorted(buckets)
-        self._indexed = True
-
-    def _forget(self, request: Request) -> int:
-        """Drop a dispatched request from the pruning indexes; returns its
-        arrival sequence number for subclasses with extra bookkeeping."""
-        seq = self._arrival_seq.pop(id(request))
-        key = self._device.request_cylinder(request)
-        bucket = self._buckets[key]
-        if len(bucket) == 1:
-            del self._buckets[key]
-            self._bucket_keys.remove(key)
+    def select_index(self, now: float) -> int:
+        candidates = len(self._queue)
+        if candidates > SCAN_DEPTH and self._prunable:
+            index, priced = self._best_first(now)
+            self.last_fast_path = "pruned"
         else:
-            # Remove by identity: equal-valued duplicates are distinct
-            # pending entries with their own sequence numbers.
-            for index, pending in enumerate(bucket):
-                if pending is request:
-                    del bucket[index]
-                    break
-        return seq
-
-    def _ensure_cyls(self) -> None:
-        """Build the positional cylinder shadow list from the pending queue.
-
-        Called by the first selection that takes the vectorized path; from
-        then on ``add``/``pop_next`` keep it aligned with the queue.  The
-        per-request ``request_cylinder`` lookups are memoized on the
-        device, so a later rebuild would cost the same — this just avoids
-        paying any of it on runs that never go deep.
-        """
-        request_cylinder = self._device.request_cylinder
-        self._cyls = [request_cylinder(request) for request in self._queue]
-        self._cyls_live = True
-
-    def _queue_index_of_seq(self, seq: int) -> int:
-        """Queue index of the pending request with arrival sequence ``seq``.
-
-        The queue is append-only between pops, so it is always sorted by
-        sequence number — a binary search over ``id``-keyed lookups beats
-        ``list.index`` (which would compare dataclass values linearly).
-        """
-        queue = self._queue
-        seq_of = self._arrival_seq
-        lo, hi = 0, len(queue)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if seq_of[id(queue[mid])] < seq:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _pruned_select(
-        self, now: float, age_weight: float = 0.0, discount_cap: float = 0.0
-    ) -> Tuple[int, int]:
-        """Lower-bound-pruned argmin over the pending queue.
-
-        Walks the cylinder buckets outward from the device's current
-        cylinder (two pointers over the sorted key list, always expanding
-        the nearer side) and prices candidates with the exact oracle.  The
-        walk stops at the first bucket whose lower bound — discounted by
-        ``discount_cap``, an upper bound on any candidate's aging credit —
-        strictly exceeds the best exact score so far; the suffix-min
-        envelope of the bound table makes every remaining bucket at least
-        as expensive.  The strict ``>`` keeps equal-bound candidates alive,
-        so ties are settled by the same (score, arrival) order as the naive
-        scan and the selected request is bit-identical.
-
-        Returns ``(queue_index, candidates_priced)``.
-        """
-        device = self._device
-        estimate = device.estimate_positioning
-        cache = self._estimates
-        bounds = self._bounds_ref = device.positioning_lower_bounds
-        keys = self._bucket_keys
-        buckets = self._buckets
-        seq_of = self._arrival_seq
-        current = device.current_cylinder
-        right = bisect_left(keys, current)
-        left = right - 1
-        nkeys = len(keys)
-        best_score = 0.0
-        best_seq = -1
-        priced = 0
-        while left >= 0 or right < nkeys:
-            if left < 0:
-                take_left = False
-                delta = keys[right] - current
-            elif right >= nkeys:
-                take_left = True
-                delta = current - keys[left]
-            else:
-                dist_left = current - keys[left]
-                dist_right = keys[right] - current
-                take_left = dist_left <= dist_right
-                delta = dist_left if take_left else dist_right
-            if best_seq >= 0 and bounds[delta] - discount_cap > best_score:
-                break
-            key = keys[left] if take_left else keys[right]
-            for request in buckets[key]:
-                rid = id(request)
-                if cache is None:
-                    predicted = estimate(request, now)
-                else:
-                    predicted = cache.get(rid)
-                    if predicted is None:
-                        predicted = cache[rid] = estimate(request, now)
-                priced += 1
-                if age_weight:
-                    score = predicted - age_weight * max(
-                        0.0, now - request.arrival_time
-                    )
-                else:
-                    score = predicted
-                if best_seq < 0 or score < best_score:
-                    best_score = score
-                    best_seq = seq_of[rid]
-                elif score == best_score and seq_of[rid] < best_seq:
-                    best_seq = seq_of[rid]
-            if take_left:
-                left -= 1
-            else:
-                right += 1
-        return self._queue_index_of_seq(best_seq), priced
-
-    def _vectorized_select(
-        self, now: float, age_weight: float = 0.0
-    ) -> Tuple[int, int]:
-        """Bound-screened batch-priced argmin over the pending queue.
-
-        Selection runs in three steps, returning ``(queue_index, priced)``:
-
-        1. **Screen** — every candidate gets an admissible lower bound on
-           its score from the dense per-cylinder-delta table (aged
-           variants subtract the candidate's exact aging credit, which
-           keeps the bound admissible per candidate — tighter than the
-           pruned walk's global discount).
-        2. **Seed** — the candidate with the smallest bound is priced
-           exactly; its score caps what any winner can cost.
-        3. **Price** — candidates whose bound does not exceed the seed's
-           score survive the screen; everyone else is provably beaten
-           (their exact score is at least their bound, which exceeds an
-           exact score already in hand).  A handful of survivors are
-           priced scalarly in queue order against a tightening incumbent;
-           wide survivor sets go through one
-           :meth:`estimate_positioning_batch` call.
-
-        The winner is the minimum exact score over the priced subset with
-        ties going to the lowest queue index — identical to the scan's
-        strict-``<`` first-occurrence rule over the full queue, because
-        every candidate that could equal the minimum has a bound at or
-        below it and therefore was priced (per-element estimate equality
-        is pinned by ``tests/core/scheduling/test_batch_identity.py``).
-        Priced results are folded into the estimate cache, keeping repeat
-        selections against an unchanged device state consistent with the
-        scalar paths.
-
-        On devices without the bound oracle the screen is skipped and the
-        whole queue is batch-priced (``numpy.argmin``'s first-occurrence
-        rule supplies the same tie-break).
-        """
-        queue = self._queue
-        cache = self._estimates
-        device = self._device
-        estimate = device.estimate_positioning
-        if not self._can_prune:
-            return self._batch_all_select(now, age_weight)
-        if not self._cyls_live:
-            self._ensure_cyls()
-        bounds = self._bounds_ref = device.positioning_lower_bounds
-        current = device.current_cylinder
-        bound_list = []
-        bound_append = bound_list.append
-        best_bound = None
-        seed = 0
-        for index, (request, cylinder) in enumerate(zip(queue, self._cyls)):
-            delta = cylinder - current
-            if delta < 0:
-                delta = -delta
-            bound = bounds[delta]
-            if age_weight:
-                wait = now - request.arrival_time
-                if wait > 0.0:
-                    bound -= age_weight * wait
-            bound_append(bound)
-            if best_bound is None or bound < best_bound:
-                best_bound = bound
-                seed = index
-        seed_request = queue[seed]
-        if cache is None:
-            predicted = estimate(seed_request, now)
-        else:
-            rid = id(seed_request)
-            predicted = cache.get(rid)
-            if predicted is None:
-                predicted = cache[rid] = estimate(seed_request, now)
-        if age_weight:
-            wait = max(0.0, now - seed_request.arrival_time)
-            best_score = predicted - age_weight * wait
-        else:
-            best_score = predicted
-        survivors = [
-            index
-            for index, bound in enumerate(bound_list)
-            if bound <= best_score and index != seed
-        ]
-        if not survivors:
-            return seed, 1
-        best_index = seed
-        if len(survivors) <= _SCALAR_SURVIVOR_LIMIT:
-            # Small survivor sets: scalar pricing in queue order, re-testing
-            # each bound against the tightening incumbent — an earlier
-            # survivor's exact score often eliminates later ones before
-            # they are priced.  A skipped candidate's exact score is at
-            # least its bound, which exceeds a score already in hand, so
-            # it can neither win nor (being a later index on a tie)
-            # displace the incumbent.
-            priced = 1
-            for index in survivors:
-                if bound_list[index] > best_score:
-                    continue
-                request = queue[index]
-                if cache is None:
-                    value = estimate(request, now)
-                else:
-                    rid = id(request)
-                    value = cache.get(rid)
-                    if value is None:
-                        value = cache[rid] = estimate(request, now)
-                priced += 1
-                if age_weight:
-                    # Replays ``predicted - age_weight * max(0.0, now -
-                    # arrival)`` branch-for-branch.
-                    wait = now - request.arrival_time
-                    score = value - age_weight * (
-                        wait if wait > 0.0 else 0.0
-                    )
-                else:
-                    score = value
-                if score < best_score or (
-                    score == best_score and index < best_index
-                ):
-                    best_score = score
-                    best_index = index
-            return best_index, priced
-        # Wide survivor sets: one numpy batch pricing call beats per-
-        # candidate scalar evaluation.  Both paths return bitwise-identical
-        # values, so the crossover is purely a speed knob.
-        priced = 1 + len(survivors)
-        if cache is None:
-            values = device.estimate_positioning_batch(
-                [queue[index] for index in survivors], now
-            ).tolist()
-        else:
-            misses = [
-                index for index in survivors if id(queue[index]) not in cache
-            ]
-            if misses:
-                miss_values = device.estimate_positioning_batch(
-                    [queue[index] for index in misses], now
-                ).tolist()
-                for index, value in zip(misses, miss_values):
-                    cache[id(queue[index])] = value
-            values = [cache[id(queue[index])] for index in survivors]
-        for index, value in zip(survivors, values):
-            if age_weight:
-                # Replays the scalar ``predicted - age_weight * max(0.0,
-                # now - arrival)`` per element in the same operation order.
-                wait = max(0.0, now - queue[index].arrival_time)
-                score = value - age_weight * wait
-            else:
-                score = value
-            if score < best_score or (score == best_score and index < best_index):
-                best_score = score
-                best_index = index
-        return best_index, priced
-
-    def _batch_all_select(
-        self, now: float, age_weight: float = 0.0
-    ) -> Tuple[int, int]:
-        """Whole-queue batch pricing (no bound oracle available)."""
-        np = get_numpy()
-        queue = self._queue
-        cache = self._estimates
-        device = self._device
-        count = len(queue)
-        if cache is None or not cache:
-            estimates = device.estimate_positioning_batch(queue, now)
-            if cache is not None:
-                values = estimates.tolist()
-                for request, value in zip(queue, values):
-                    cache[id(request)] = value
-        else:
-            misses = [
-                request for request in queue if id(request) not in cache
-            ]
-            if misses:
-                values = device.estimate_positioning_batch(
-                    misses, now
-                ).tolist()
-                for request, value in zip(misses, values):
-                    cache[id(request)] = value
-            estimates = np.fromiter(
-                (cache[id(request)] for request in queue),
-                dtype=np.float64,
-                count=count,
-            )
-        if age_weight:
-            arrivals = np.fromiter(
-                (request.arrival_time for request in queue),
-                dtype=np.float64,
-                count=count,
-            )
-            # Replays the scalar ``predicted - age_weight * max(0.0, now -
-            # arrival)`` element-wise in the same operation order.
-            scores = estimates - age_weight * np.maximum(0.0, now - arrivals)
-        else:
-            scores = estimates
-        return int(np.argmin(scores)), count
-
-    def _record_selection(
-        self, candidates: int, priced: int, cached_before: int
-    ) -> None:
-        """Fold one selection's pricing work into the telemetry counters."""
+            index, priced = self._scan(now)
+            self.last_fast_path = "scan"
         self.last_candidates = candidates
         self.last_priced = priced
         self.last_pruned = candidates - priced
-        cache = self._estimates
-        if cache is None:
-            self.cache_misses += priced
-        else:
-            misses = len(cache) - cached_before
-            self.cache_misses += misses
-            self.cache_hits += priced - misses
+        return index
+
+    def _scan(self, now: float) -> Tuple[int, int]:
+        """Price every candidate; returns ``(queue_index, priced)``."""
+        queue = self._queue
+        if len(queue) <= 1:
+            return 0, 0
+        estimate = self._device.estimate_positioning
+        weight = self.age_weight
+        best = math.inf
+        best_index = 0
+        for index, request in enumerate(queue):
+            score = estimate(request, now)
+            if weight:
+                score -= weight * max(0.0, now - request.arrival_time)
+            if score < best:
+                best = score
+                best_index = index
+        return best_index, len(queue)
+
+    def _best_first(self, now: float) -> Tuple[int, int]:
+        """Price candidates in bound order until a bound beats the best
+        exact score; returns ``(queue_index, priced)``."""
+        np = get_numpy()
+        if self._cyls is None:
+            self._build_columns()
+        queue = self._queue
+        size = len(queue)
+        device = self._device
+        bounds = self._bounds[np.abs(self._cyls[:size] - device.current_cylinder)]
+        weight = self.age_weight
+        if weight:
+            bounds -= weight * np.maximum(0.0, now - self._arrivals[:size])
+        estimate = device.estimate_positioning
+
+        def score(index: int) -> float:
+            request = queue[index]
+            value = estimate(request, now)
+            if weight:
+                value -= weight * max(0.0, now - request.arrival_time)
+            return value
+
+        # The lowest bound is priced first.  No bound above its score can
+        # be priced after it, so only the candidates at or below it are
+        # sorted: they are a prefix of the full stable bound order.
+        best_index = int(bounds.argmin())
+        best = score(best_index)
+        survivors = np.flatnonzero(bounds <= best)
+        rest = survivors[bounds[survivors].argsort(kind="stable")][1:]
+        priced = 1
+        for bound, index in zip(bounds[rest].tolist(), rest.tolist()):
+            if bound > best:
+                break
+            value = score(index)
+            priced += 1
+            if value < best or (value == best and index < best_index):
+                best = value
+                best_index = index
+        return best_index, priced
+
+    def _build_columns(self) -> None:
+        """Fetch the bound table and fill the columns from the queue."""
+        np = get_numpy()
+        queue = self._queue
+        size = len(queue)
+        capacity = max(64, 2 * size)
+        request_cylinder = self._device.request_cylinder
+        self._bounds = np.asarray(
+            self._device.positioning_lower_bounds, dtype=np.float64
+        )
+        self._cyls = np.empty(capacity, dtype=np.int64)
+        self._cyls[:size] = [request_cylinder(request) for request in queue]
+        self._arrivals = np.empty(capacity, dtype=np.float64)
+        self._arrivals[:size] = [request.arrival_time for request in queue]
 
     def _dispatch_telemetry(self) -> dict:
         return {
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "candidates_priced": self.last_priced,
             "candidates_pruned": self.last_pruned,
             "fast_path": self.last_fast_path,
         }
 
 
-class SPTFScheduler(_EstimateCachingScheduler):
-    """Greedy minimum-positioning-time selection using the device oracle."""
-
-    name = "SPTF"
-
-    def select_index(self, now: float) -> int:
-        candidates = len(self._queue)
-        cache = self._estimates
-        cached_before = 0 if cache is None else len(cache)
-        if candidates <= 1:
-            # The argmin over one candidate is that candidate: no oracle
-            # call, no cache traffic.  Open-arrival runs below saturation
-            # spend most dispatches here, so this shortcut is the single
-            # biggest lever on the per-request pricing cost.
-            self._record_selection(candidates, 0, cached_before)
-            self.last_fast_path = "scan"
-            return 0
-        if self._can_prune and (
-            self._mode == "always" or candidates > PRUNED_DEPTH_THRESHOLD
-        ):
-            if not self._indexed:
-                self._build_indexes()
-            index, priced = self._pruned_select(now)
-            self._record_selection(candidates, priced, cached_before)
-            self.last_fast_path = "pruned"
-            return index
-        if candidates > VECTORIZED_DEPTH_THRESHOLD and self._can_batch:
-            index, priced = self._vectorized_select(now)
-            self._record_selection(candidates, priced, cached_before)
-            self.last_fast_path = "vectorized"
-            return index
-        estimate = self._device.estimate_positioning
-        best_index = 0
-        best_time = None
-        for index, request in enumerate(self._queue):
-            if cache is None:
-                predicted = estimate(request, now)
-            else:
-                key = id(request)
-                predicted = cache.get(key)
-                if predicted is None:
-                    predicted = cache[key] = estimate(request, now)
-            if best_time is None or predicted < best_time:
-                best_time = predicted
-                best_index = index
-        self._record_selection(candidates, candidates, cached_before)
-        self.last_fast_path = "scan"
-        return best_index
-
-
-class AgedSPTFScheduler(_EstimateCachingScheduler):
+class AgedSPTFScheduler(SPTFScheduler):
     """SPTF with linear aging: priority = positioning − age_weight · wait.
 
     ``age_weight`` = 0 degenerates to pure SPTF; a few milliseconds per
-    second of wait is typically enough to bound starvation.  Only the
-    positioning estimate is memoized; the aging term is recomputed from
-    ``now`` on every selection.
-
-    Pruning still applies: the bucket bound is discounted by the *largest
-    possible* aging credit — ``age_weight`` × the wait of the oldest
-    pending arrival (tracked with a lazy-deletion heap) — which keeps it an
-    admissible lower bound on every candidate's aged score.
+    second of wait is typically enough to bound starvation.
     """
 
     name = "ASPTF"
 
-    def __init__(
-        self,
-        device: StorageDevice,
-        age_weight: float = 0.01,
-        cache: bool = True,
-        prune: Union[bool, str] = "auto",
-    ) -> None:
-        super().__init__(device, cache=cache, prune=prune)
+    def __init__(self, device: StorageDevice, age_weight: float = 0.01) -> None:
         if age_weight < 0:
             raise ValueError(f"negative age_weight: {age_weight}")
+        super().__init__(device)
         self.age_weight = age_weight
-        # Min-heap of (arrival_time, seq) with lazy deletion: entries
-        # whose seq left ``_live_seqs`` are skipped at peek time.  The
-        # pending list is not arrival-sorted in general (callers may
-        # add out of order), so the heap — not the queue head — tracks
-        # the oldest pending arrival.  Maintained alongside the pruning
-        # indexes (from construction in ``'always'`` mode, from the first
-        # pruned selection in ``'auto'``).
-        self._arrival_heap: List[Tuple[float, int]] = []
-        self._live_seqs: Set[int] = set()
-
-    def add(self, request: Request) -> None:
-        super().add(request)
-        if self._indexed:
-            seq = self._arrival_seq[id(request)]
-            self._live_seqs.add(seq)
-            heapq.heappush(self._arrival_heap, (request.arrival_time, seq))
-
-    def _build_indexes(self) -> None:
-        super()._build_indexes()
-        heap = self._arrival_heap
-        live = self._live_seqs
-        seq_of = self._arrival_seq
-        for request in self._queue:
-            seq = seq_of[id(request)]
-            live.add(seq)
-            heapq.heappush(heap, (request.arrival_time, seq))
-
-    def _forget(self, request: Request) -> int:
-        seq = super()._forget(request)
-        self._live_seqs.discard(seq)
-        return seq
-
-    def _max_wait(self, now: float) -> float:
-        """Upper bound on any pending request's queue wait."""
-        heap = self._arrival_heap
-        live = self._live_seqs
-        while heap and heap[0][1] not in live:
-            heapq.heappop(heap)
-        if not heap:
-            return 0.0
-        return max(0.0, now - heap[0][0])
-
-    def select_index(self, now: float) -> int:
-        candidates = len(self._queue)
-        cache = self._estimates
-        cached_before = 0 if cache is None else len(cache)
-        age_weight = self.age_weight
-        if candidates <= 1:
-            # Aging cannot reorder a single candidate either — same
-            # price-nothing shortcut as pure SPTF.
-            self._record_selection(candidates, 0, cached_before)
-            self.last_fast_path = "scan"
-            return 0
-        if self._can_prune and (
-            self._mode == "always" or candidates > PRUNED_DEPTH_THRESHOLD
-        ):
-            if not self._indexed:
-                self._build_indexes()
-            index, priced = self._pruned_select(
-                now,
-                age_weight=age_weight,
-                discount_cap=age_weight * self._max_wait(now),
-            )
-            self._record_selection(candidates, priced, cached_before)
-            self.last_fast_path = "pruned"
-            return index
-        if candidates > VECTORIZED_DEPTH_THRESHOLD and self._can_batch:
-            index, priced = self._vectorized_select(now, age_weight=age_weight)
-            self._record_selection(candidates, priced, cached_before)
-            self.last_fast_path = "vectorized"
-            return index
-        estimate = self._device.estimate_positioning
-        best_index = 0
-        best_score = None
-        for index, request in enumerate(self._queue):
-            if cache is None:
-                predicted = estimate(request, now)
-            else:
-                key = id(request)
-                predicted = cache.get(key)
-                if predicted is None:
-                    predicted = cache[key] = estimate(request, now)
-            wait = max(0.0, now - request.arrival_time)
-            score = predicted - age_weight * wait
-            if best_score is None or score < best_score:
-                best_score = score
-                best_index = index
-        self._record_selection(candidates, candidates, cached_before)
-        self.last_fast_path = "scan"
-        return best_index

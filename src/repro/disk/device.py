@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 
 from repro.disk.geometry import DiskAddress, DiskGeometry
 from repro.disk.parameters import DiskParameters, SeekCurve
-from repro.nputil import get_numpy
 from repro.sim.device import StorageDevice
 from repro.sim.request import AccessResult, IOKind, Request
 
@@ -40,10 +39,10 @@ def seek_lower_bounds(curve: SeekCurve, cylinders: int) -> Tuple[float, ...]:
     ``>= d`` — an admissible bound on the full positioning delay of any
     request ``d`` cylinders away (the exact estimate adds head-switch,
     write-settle, and rotational latency on top, all non-negative).  The
-    suffix-min envelope makes the table monotone even if a curve's
-    sqrt/linear crossover dips, so a candidate walk ordered by cylinder
-    distance can stop at the first bucket whose bound exceeds the best
-    exact estimate.
+    suffix-min envelope keeps the table monotone even if a curve's
+    sqrt/linear crossover dips.  SPTF's best-first selection prices
+    candidates in order of this bound and stops once a bound exceeds the
+    best exact estimate.
     """
     bounds = list(seek_time_table(curve, cylinders))
     for distance in range(cylinders - 2, -1, -1):
@@ -84,7 +83,6 @@ class DiskDevice(StorageDevice):
             else None
         )
         self._lower_bounds: Optional[Tuple[float, ...]] = None
-        self._curve_np = None
         self._memoize = memoize
 
     @property
@@ -92,8 +90,8 @@ class DiskDevice(StorageDevice):
         """Dense admissible per-cylinder-delta lower bounds on positioning
         (see :func:`seek_lower_bounds`).
 
-        Built lazily on first access — schedulers that never take the
-        pruned path pay nothing — and memoized at module level per seek
+        Built lazily on first access — schedulers that never make a deep
+        SPTF selection pay nothing — and memoized at module level per seek
         curve, so devices built from the same curve share one table.
         """
         bounds = self._lower_bounds
@@ -118,20 +116,10 @@ class DiskDevice(StorageDevice):
         return self._cylinder
 
     def request_cylinder(self, request: Request) -> int:
-        """Cylinder of ``request``'s first segment — the pruning bucket key,
-        and exactly the cylinder :meth:`estimate_positioning` seeks to."""
+        """Cylinder of ``request``'s first segment — exactly the cylinder
+        :meth:`estimate_positioning` seeks to, which SPTF pairs with
+        :attr:`positioning_lower_bounds`."""
         return self.geometry.cylinder_of_lbn(request.lbn)
-
-    def positioning_lower_bound(self, request: Request, now: float = 0.0) -> float:
-        """Admissible lower bound on :meth:`estimate_positioning`.
-
-        The seek-curve envelope at the cylinder distance, ignoring
-        rotational latency, head switches, and write settle (all
-        non-negative add-ons in the exact estimate) — so it never exceeds
-        the exact estimate for the same (state, request, now) triple.
-        """
-        delta = self.geometry.cylinder_of_lbn(request.lbn) - self._cylinder
-        return self.positioning_lower_bounds[delta if delta >= 0 else -delta]
 
     def service(self, request: Request, now: float = 0.0) -> AccessResult:
         self.validate(request)
@@ -177,61 +165,6 @@ class DiskDevice(StorageDevice):
         arrive = now + seek
         latency = self._rotational_latency(first, arrive)
         return seek + latency
-
-    def estimate_positioning_batch(self, requests, now: float = 0.0):
-        """Array twin of :meth:`estimate_positioning`: one float64 ndarray of
-        positioning estimates for ``requests``, element-wise bit-identical
-        to the scalar oracle.
-
-        Seeks come from a single gather into the dense seek-curve array;
-        head-switch and write-settle surcharges are added per element in
-        the scalar method's order (``np.where(cond, x + c, x)`` performs
-        the identical IEEE addition where the scalar path would).  The
-        free-running platter angle uses ``np.mod``, which matches Python's
-        float ``%`` bit for bit.  Per-sector angles come from the memoized
-        scalar :meth:`~repro.disk.geometry.DiskGeometry.sector_angle`.
-        """
-        np = get_numpy()
-        n = len(requests)
-        distances = np.empty(n, dtype=np.intp)
-        switches = np.empty(n, dtype=bool)
-        writes = np.empty(n, dtype=bool)
-        angles = np.empty(n, dtype=np.float64)
-        geometry = self.geometry
-        segments_of = geometry.segments_tuple
-        sector_angle = geometry.sector_angle
-        memoize = self._memoize
-        current = self._cylinder
-        surface = self._surface
-        for index, request in enumerate(requests):
-            if not memoize:
-                self.validate(request)
-            first, _ = segments_of(request.lbn, request.sectors)[0]
-            delta = first.cylinder - current
-            if delta < 0:
-                delta = -delta
-            distances[index] = delta
-            switches[index] = delta == 0 and first.surface != surface
-            writes[index] = request.kind is IOKind.WRITE
-            angles[index] = sector_angle(first)
-        table = self._curve_np
-        if table is None and self._curve_table is not None:
-            table = self._curve_np = np.asarray(self._curve_table)
-        if table is None:
-            curve_time = self.params.seek_curve.time
-            seeks = np.fromiter(
-                (curve_time(int(d)) for d in distances),
-                dtype=np.float64,
-                count=n,
-            )
-        else:
-            seeks = table[distances]
-        seeks = np.where(switches, seeks + self.params.head_switch_time, seeks)
-        seeks = np.where(writes, seeks + self.params.write_settle_time, seeks)
-        rev = self.params.revolution_time
-        head_angles = np.mod((now + seeks) / rev, 1.0)
-        latencies = np.mod(angles - head_angles, 1.0) * rev
-        return seeks + latencies
 
     # -- internals -------------------------------------------------------------- #
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.mems.geometry import MEMSGeometry
-from repro.mems.kinematics import _numpy
 from repro.mems.parameters import DEFAULT_PARAMETERS, MEMSParameters
 from repro.mems.seek import (
     PositioningPlan,
@@ -32,6 +31,7 @@ from repro.mems.seek import (
     SledState,
     x_seek_lower_bounds,
 )
+from repro.nputil import get_numpy
 from repro.sim.device import StorageDevice
 from repro.sim.request import AccessResult, Request
 
@@ -54,7 +54,7 @@ class _RequestProfile(NamedTuple):
     y_first_high: float
     """High edge of the last row of the request's first segment."""
     first_cylinder: int
-    """Cylinder of the first segment (the SPTF pruning bucket key)."""
+    """Cylinder of the first segment (where positioning seeks to)."""
     transfer_time: float
     """Media transfer time over all segments (rows x tip-sector time)."""
     rows: int
@@ -86,28 +86,6 @@ def _build_profile(
     )
 
 
-_SERVICE_MEMO_LIMIT = 1 << 18
-"""Entry cap on the shared service-outcome memo (cleared when exceeded)."""
-
-_MEMO_PROBE_WINDOW = 8192
-"""Misses a device tolerates before it may write off a shared memo.
-
-The (state, request)-keyed memos only pay when streams *revisit* keys —
-parameter sweeps replaying the same arrivals, repeated runs in one
-process.  A fleet shard is the opposite: addresses are effectively unique,
-so every service is a guaranteed miss that still pays the key build, the
-probe, and the insert, and the shared dict churns toward its size cap for
-nothing.  Each device therefore keeps per-memo hit/miss counters and stops
-consulting a memo once it has observed ``_MEMO_PROBE_WINDOW`` misses with a
-hit rate below ``1 / _MEMO_KEEP_RATIO`` — a one-way, per-device decision
-(results are unaffected either way; the memo is a pure speed layer).  The
-window is far above any sweep point's request count, so warm-sweep devices
-— which either stay under the window or see high hit rates — never
-disable theirs."""
-
-_MEMO_KEEP_RATIO = 128
-"""Keep a memo while ``hits * _MEMO_KEEP_RATIO >= misses`` (≈0.8 %)."""
-
 _PROFILE_CACHE_LIMIT = 1 << 17
 """Entry cap on the shared request-profile memo (cleared when exceeded).
 
@@ -115,26 +93,18 @@ Large enough that one fleet member's whole shard (or any sweep point's
 stream) stays resident; wholesale clearing keeps the worst case bounded
 without lru_cache's per-hit bookkeeping."""
 
-_SCALAR_MISS_LIMIT = 16
-"""Batch pricing prices memo misses through the scalar oracle when there
-are at most this many — below it, numpy's fixed per-call cost exceeds the
-whole scalar evaluation."""
-
 
 @functools.lru_cache(maxsize=16)
 def _shared_components(params: MEMSParameters):
     """Pure per-parameter-set model components, shared across devices.
 
-    The geometry, the seek planner (with its maneuver caches), the request
-    profile cache, and the service-outcome memo are all pure functions of
-    the (frozen, hashable) parameter set — none of them carries sled state,
-    which lives on the device.  Sharing them means a parameter sweep that
-    builds a fresh ``MEMSDevice`` per point starts every point with warm
-    caches: identical request streams replayed under several schedulers or
-    arrival rates revisit mostly the same (sled state, request) pairs, and
-    recomputing the closed-form kinematics for them dominated sweep time.
-    Only memoizing devices share (``memoize=False`` builds private,
-    uncached components so the benchmark baseline stays honest).
+    The geometry, the seek planner (with its maneuver caches) and the
+    request profile cache are all pure functions of the (frozen, hashable)
+    parameter set — none of them carries sled state, which lives on the
+    device.  Sharing them means a parameter sweep that builds a fresh
+    ``MEMSDevice`` per point starts every point with warm caches.  Only
+    memoizing devices share (``memoize=False`` builds private, uncached
+    components so the benchmark baseline stays honest).
     """
     geometry = MEMSGeometry(params, cache_size=1 << 16)
     planner = SeekPlanner(params)
@@ -143,7 +113,7 @@ def _shared_components(params: MEMSParameters):
     # A hand-rolled dict memo rather than functools.lru_cache: the columnar
     # ingest path bulk-primes it with vectorized profile construction
     # (:meth:`MEMSDevice.prime_request_profiles`), which an lru_cache cannot
-    # accept.  Eviction is clear-on-cap, like the service memos.
+    # accept.  Eviction is clear-on-cap.
     profile_cache: dict = {}
     profile_get = profile_cache.get
 
@@ -158,9 +128,7 @@ def _shared_components(params: MEMSParameters):
             )
         return hit
 
-    service_memo: dict = {}
-    estimate_memo: dict = {}
-    return geometry, planner, profile, profile_cache, service_memo, estimate_memo
+    return geometry, planner, profile, profile_cache
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,7 +157,9 @@ class MEMSDevice(StorageDevice):
             accelerate ``service`` and the SPTF ``estimate_positioning``
             oracle.  Results are identical either way (the cached values are
             pure functions of the request address); the benchmark harness
-            passes ``False`` to measure the uncached baseline.
+            passes ``False`` to measure the uncached baseline.  Nothing
+            keyed on the sled state is memoized: every ``service`` and
+            estimate is computed from the current state.
 
     Example:
         >>> device = MEMSDevice()
@@ -213,20 +183,11 @@ class MEMSDevice(StorageDevice):
                 self.planner,
                 self._profile,
                 self._profile_cache,
-                self._service_memo,
-                self._estimate_memo,
             ) = _shared_components(self.params)
         else:
             self.geometry = MEMSGeometry(self.params, cache_size=0)
             self.planner = SeekPlanner(self.params)
             self._profile_cache = None
-            self._service_memo = None
-            self._estimate_memo = None
-        # Per-device memo usefulness probes (see _MEMO_PROBE_WINDOW).
-        self._service_hits = 0
-        self._service_misses = 0
-        self._estimate_hits = 0
-        self._estimate_misses = 0
         # The sled starts at rest over LBN 0's cylinder, at the top edge.
         self._state = SledState(
             x=self.geometry.x_of_cylinder(0),
@@ -251,8 +212,8 @@ class MEMSDevice(StorageDevice):
         """Dense admissible per-cylinder-delta lower bounds on X seek +
         settle (see :func:`repro.mems.seek.x_seek_lower_bounds`).
 
-        Built lazily on first access — schedulers that never take the
-        pruned path (shallow queues, non-SPTF policies) pay nothing — and
+        Built lazily on first access — schedulers that never make a deep
+        SPTF selection (shallow queues, non-SPTF policies) pay nothing — and
         memoized at module level, so devices sharing a parameter set share
         one table.  :func:`repro.core.scheduling.sptf
         .device_supports_pruning` detects the oracle from the *class*
@@ -285,8 +246,9 @@ class MEMSDevice(StorageDevice):
         return self._cylinder
 
     def request_cylinder(self, request: Request) -> int:
-        """Cylinder of ``request``'s first segment — the pruning bucket key,
-        and exactly the cylinder :meth:`estimate_positioning` seeks to."""
+        """Cylinder of ``request``'s first segment — exactly the cylinder
+        :meth:`estimate_positioning` seeks to, which SPTF pairs with
+        :attr:`positioning_lower_bounds`."""
         return self.geometry.cylinder_of_lbn(request.lbn)
 
     def prime_request_profiles(self, lbns, sectors) -> None:
@@ -311,7 +273,7 @@ class MEMSDevice(StorageDevice):
         cache = self._profile_cache
         if cache is None:
             return
-        np = _numpy()
+        np = get_numpy()
         geometry = self.geometry
         per_track = geometry._sectors_per_track
         per_row = geometry._sectors_per_row
@@ -366,19 +328,6 @@ class MEMSDevice(StorageDevice):
                 (((cyl, trk, fr, lr),), xt, ylo, yhi, cyl, tt, rw)
             )
 
-    def positioning_lower_bound(self, request: Request, now: float = 0.0) -> float:
-        """Admissible lower bound on :meth:`estimate_positioning`.
-
-        Prices only the X component from the cylinder distance: the exact
-        positioning delay is ``max(x_seek + settle, y_seek)``, which the
-        dense :attr:`positioning_lower_bounds` table bounds from below
-        regardless of the sled's Y state.  Never exceeds the exact estimate
-        for the same (state, request) pair, so SPTF can skip any candidate
-        whose bound already exceeds the best exact price found.
-        """
-        delta = self.geometry.cylinder_of_lbn(request.lbn) - self._cylinder
-        return self.positioning_lower_bounds[delta if delta >= 0 else -delta]
-
     def service(self, request: Request, now: float = 0.0) -> AccessResult:
         # With memoization on the explicit validate is elided, exactly as in
         # :meth:`estimate_positioning`: the engine validates at ingest and
@@ -386,46 +335,6 @@ class MEMSDevice(StorageDevice):
         # derived, so out-of-range requests still raise ``ValueError``.
         if not self._memoize:
             self.validate(request)
-        memo = self._service_memo
-        if memo is not None:
-            # Service outcomes are pure in (sled state, request address):
-            # every field of the result and the post-access state is a
-            # closed-form function of the five key components.  Only
-            # single-segment fast-path requests are stored (below), so a
-            # hit replays exactly what the fast path would compute.
-            state = self._state
-            key = (state.x, state.y, state.vy, request.lbn, request.sectors)
-            hit = memo.get(key)
-            if hit is not None:
-                self._service_hits += 1
-                result, end_state, end_cylinder, positioning_total = hit
-                self._state = end_state
-                self._cylinder = end_cylinder
-                self._last_lbn = request.lbn + request.sectors - 1
-                tracer = self.tracer
-                if tracer.enabled:
-                    tracer.emit(
-                        {
-                            "kind": "dev.access",
-                            "t": now,
-                            "device": "mems",
-                            "rid": request.request_id,
-                            "lbn": request.lbn,
-                            "sectors": request.sectors,
-                            "io": request.kind.value,
-                            "seek_x": result.seek_x,
-                            "seek_y": result.seek_y,
-                            "settle": result.settle,
-                            "rotational_latency": 0.0,
-                            "transfer": result.transfer,
-                            "turnarounds": 0.0,
-                            "positioning": positioning_total,
-                            "total": result.total,
-                            "bits": result.bits_accessed,
-                            "cylinder": end_cylinder,
-                        }
-                    )
-                return result
         profile = self._profile(request.lbn, request.sectors)
         if len(profile.segments) == 1 and self._bidirectional:
             # Single-pass request (the overwhelmingly common case for the
@@ -509,24 +418,6 @@ class MEMSDevice(StorageDevice):
                 turnarounds=0.0,
                 bits_accessed=bits,
             )
-            if memo is not None:
-                if len(memo) > _SERVICE_MEMO_LIMIT:
-                    memo.clear()
-                memo[key] = (
-                    result,
-                    end_state,
-                    profile.first_cylinder,
-                    positioning_total,
-                )
-                misses = self._service_misses + 1
-                self._service_misses = misses
-                if (
-                    misses >= _MEMO_PROBE_WINDOW
-                    and self._service_hits * _MEMO_KEEP_RATIO < misses
-                ):
-                    # This device's stream is not revisiting keys: stop
-                    # consulting the shared memo (other devices keep theirs).
-                    self._service_memo = None
             return result
         plan = self._best_plan(request)
         self._state = plan.end_state
@@ -587,16 +478,6 @@ class MEMSDevice(StorageDevice):
             self.validate(request)
         planner = self.planner
         state = self._state
-        memo = self._estimate_memo
-        if memo is not None:
-            # Pure in (sled state, request address), exactly like the
-            # service memo: a hit replays a value this expression computed
-            # for the same key (on this device or a parameter-sharing twin).
-            key = (state.x, state.y, state.vy, request.lbn, request.sectors)
-            hit = memo.get(key)
-            if hit is not None:
-                self._estimate_hits += 1
-                return hit
         profile = self._profile(request.lbn, request.sectors)
         # Same canonical-entry shortcut as the single-pass service path.
         x0 = state.x
@@ -617,134 +498,7 @@ class MEMSDevice(StorageDevice):
                 reverse = x_component
             if reverse < best:
                 best = reverse
-        if memo is not None:
-            if len(memo) > _SERVICE_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = best
-            misses = self._estimate_misses + 1
-            self._estimate_misses = misses
-            if (
-                misses >= _MEMO_PROBE_WINDOW
-                and self._estimate_hits * _MEMO_KEEP_RATIO < misses
-            ):
-                self._estimate_memo = None
         return best
-
-    def estimate_positioning_batch(self, requests, now: float = 0.0):
-        """Array twin of :meth:`estimate_positioning`: one float64 ndarray of
-        positioning estimates for ``requests``, element-wise bit-identical
-        to the scalar oracle.
-
-        The X component is priced for all candidates in one
-        :meth:`~repro.mems.seek.SeekPlanner.x_seek_and_settle_batch` call
-        (array-evaluated bang-bang kinematics).  Y seeks depend on the same
-        moving sled state for every candidate and target row *edges* — a
-        small discrete set — so they go through the scalar (planner-cached)
-        path with a per-call memo keyed by target edge.  The combine
-        replays ``min(max(x, y_fwd), max(x, y_rev))``: pure comparisons, so
-        ``numpy.maximum``/``minimum`` are exact.
-
-        On memoizing devices the shared estimate memo is consulted first
-        and only the missing (state, request) pairs go through the vector
-        evaluation; the returned floats are identical either way, since the
-        memo stores exactly what this evaluation produced for the same key.
-        """
-        np = _numpy()
-        memo = self._estimate_memo
-        if memo is None:
-            return self._estimate_batch_exact(requests)
-        state = self._state
-        sx = state.x
-        sy = state.y
-        svy = state.vy
-        get = memo.get
-        values = []
-        append = values.append
-        misses = []
-        for index, request in enumerate(requests):
-            key = (sx, sy, svy, request.lbn, request.sectors)
-            hit = get(key)
-            append(hit)
-            if hit is None:
-                misses.append((index, key, request))
-        self._estimate_hits += len(values) - len(misses)
-        if misses:
-            if len(misses) <= _SCALAR_MISS_LIMIT:
-                # Mostly-hit batches: the vector pipeline's fixed per-call
-                # numpy cost dwarfs a handful of scalar evaluations, and
-                # the scalar oracle stores into the same memo.
-                estimate = self.estimate_positioning
-                for index, _, request in misses:
-                    values[index] = estimate(request, now)
-            else:
-                exact = self._estimate_batch_exact(
-                    [miss[2] for miss in misses]
-                ).tolist()
-                if len(memo) > _SERVICE_MEMO_LIMIT:
-                    memo.clear()
-                for (index, key, _), value in zip(misses, exact):
-                    memo[key] = value
-                    values[index] = value
-                total_misses = self._estimate_misses + len(misses)
-                self._estimate_misses = total_misses
-                if (
-                    total_misses >= _MEMO_PROBE_WINDOW
-                    and self._estimate_hits * _MEMO_KEEP_RATIO < total_misses
-                ):
-                    self._estimate_memo = None
-        return np.fromiter(values, dtype=np.float64, count=len(values))
-
-    def _estimate_batch_exact(self, requests):
-        """The uncached vector evaluation behind
-        :meth:`estimate_positioning_batch`."""
-        np = _numpy()
-        n = len(requests)
-        bidirectional = self._bidirectional
-        state = self._state
-        sled_y = state.y
-        sled_vy = state.vy
-        profile_of = self._profile
-        y_seek = self.planner.y_seek_time
-        memoize = self._memoize
-        forward_memo: dict = {}
-        forward_get = forward_memo.get
-        reverse_memo: dict = {}
-        reverse_get = reverse_memo.get
-        x_target_list = []
-        x_append = x_target_list.append
-        forward_list = []
-        forward_append = forward_list.append
-        reverse_list = []
-        reverse_append = reverse_list.append
-        for request in requests:
-            if not memoize:
-                self.validate(request)
-            profile = profile_of(request.lbn, request.sectors)
-            x_append(profile.x_target)
-            y_low = profile.y_first_low
-            time = forward_get(y_low)
-            if time is None:
-                time = forward_memo[y_low] = y_seek(sled_y, sled_vy, y_low, +1)
-            forward_append(time)
-            if bidirectional:
-                y_high = profile.y_first_high
-                time = reverse_get(y_high)
-                if time is None:
-                    time = reverse_memo[y_high] = y_seek(
-                        sled_y, sled_vy, y_high, -1
-                    )
-                reverse_append(time)
-        forward = np.fromiter(forward_list, dtype=np.float64, count=n)
-        if bidirectional:
-            reverse = np.fromiter(reverse_list, dtype=np.float64, count=n)
-        seeks, settles = self.planner.x_seek_and_settle_batch(
-            state.x, x_target_list
-        )
-        x_component = seeks + settles
-        estimates = np.maximum(x_component, forward)
-        if bidirectional:
-            estimates = np.minimum(estimates, np.maximum(x_component, reverse))
-        return estimates
 
     # -- other controls ----------------------------------------------------- #
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.nputil import get_numpy as _numpy
 
 
 class InfeasibleManeuver(Exception):
@@ -212,9 +211,8 @@ class SledKinematics:
         ``_speed_sq_after``/``_switch_point``/``_phase_time`` compositions
         flattened into straight-line arithmetic with the identical operation
         order, so results are bit-for-bit those of the layered helpers (the
-        dead ``v0 = 0`` terms they would fold in are exact no-ops; see
-        :meth:`seek_time_batch`, which replays the same algebra
-        array-valued).  Run-up cases and tolerance anomalies take
+        dead ``v0 = 0`` terms they would fold in are exact no-ops).  Run-up
+        cases and tolerance anomalies take
         :meth:`_seek_arrive_rightward_slow`, the layered original, which
         also reproduces its exceptions exactly.
         """
@@ -390,117 +388,3 @@ class SledKinematics:
     def full_stroke_time(self) -> float:
         """Rest-to-rest seek across the whole mobility range."""
         return self.seek_time(-self.x_max, self.x_max)
-
-    # ------------------------------------------------------------------ #
-    # batch evaluation (array-valued twin of seek_time)
-    # ------------------------------------------------------------------ #
-
-    def seek_time_batch(self, x0: float, targets) -> "list":
-        """Rest-to-rest seek times from ``x0`` to every target at once.
-
-        The array-valued twin of :meth:`seek_time`, returning a numpy
-        ``float64`` array.  **Bit-identical by construction**: every
-        floating-point operation of the scalar path — the mirror
-        canonicalization, the switch-point algebra, the energy bookkeeping,
-        the ``sqrt``/``max`` sequence — is replayed element-wise in the same
-        order, and numpy's ``sqrt``/``mod``/arithmetic kernels produce the
-        same IEEE-754 results as the CPython scalar operators.  The one
-        exception is ``atan2``: ``numpy.arctan2`` is *not* bitwise identical
-        to ``math.atan2`` on all hosts, so the two non-constant harmonic-arc
-        angles per element are evaluated with ``math.atan2`` in a plain
-        loop over the array (the third angle — the rest-start acceleration
-        phase — is the constant ``atan2(-0.0, x<0) = -pi``).
-
-        Elements that would take a scalar guard branch the vector path does
-        not model (energy-tolerance violations, negative phase durations —
-        unreachable for rest-to-rest seeks inside the media, but kept as
-        belt-and-braces) fall back to the scalar :meth:`seek_time`, which
-        also reproduces its exceptions exactly.
-        """
-        np = _numpy()
-        x1 = np.asarray(targets, dtype=np.float64)
-        n = x1.size
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-
-        # Mirror leftward seeks through x -> -x, exactly as the scalar
-        # seek_time -> seek_arrive_time(direction=-1) recursion does.
-        mirror = x1 < x0
-        a0 = np.where(mirror, -x0, x0)
-        a1 = np.where(mirror, -x1, x1)
-
-        a = self.acceleration
-        w2 = self.omega_sq
-
-        # seek_arrive_time, direct-arc branch, v_final = 0: the arc is
-        # always feasible inside the media (reach_sq = (x1-x0)(2A -
-        # w2(x1+x0)) >= 0 because spring_factor < 1), so only fp dust could
-        # push it negative — routed to the scalar fallback below.
-        reach_sq = 2.0 * a * (a1 - a0) - w2 * (a1 * a1 - a0 * a0)
-
-        # _switch_point with v0 = v_final = 0 (the leading `0.0 - 0.0 +`
-        # of the scalar expression is an exact no-op).
-        xs = (2.0 * a * (a0 + a1) + w2 * (a1 * a1 - a0 * a0)) / (4.0 * a)
-        xs = np.minimum(np.maximum(xs, a0), a1)
-
-        # _phase_time(a0, 0.0, xs, +1.0): acceleration phase.
-        v1_sq = 2.0 * a * (xs - a0) - w2 * (xs * xs - a0 * a0)
-        v1 = np.sqrt(np.maximum(v1_sq, 0.0))
-        # _phase_time(xs, v1, a1, -1.0): deceleration phase (the scalar
-        # path recomputes v_switch from the same expression, so v_switch
-        # is exactly v1).
-        v2_sq = v1 * v1 + (-2.0 * a) * (a1 - xs) - w2 * (a1 * a1 - xs * xs)
-        tol0 = 1e-9 * (a * self.x_max)
-        tol1 = 1e-9 * (v1 * v1 + a * self.x_max)
-        bad = (reach_sq < 0.0) | (v1_sq < -tol0) | (v2_sq < -tol1)
-        v2 = np.sqrt(np.maximum(v2_sq, 0.0))
-
-        if self._omega == 0.0:
-            # The scalar springless branch returns (v1 - v0)/accel with no
-            # clamping, so none is applied here either.
-            t_accel = (v1 - 0.0) / (1.0 * a)
-            t_decel = (v2 - v1) / (-1.0 * a)
-        else:
-            w = self._omega
-            center_p = 1.0 * a / w2
-            center_m = -1.0 * a / w2
-            # Acceleration phase: theta0 = atan2(-0.0/w, a0 - center_p)
-            # with a0 - center_p < 0 always (the equilibrium lies outside
-            # the media), hence exactly -pi.
-            theta0_accel = -math.pi
-            atan2 = math.atan2
-            # map() drives math.atan2 from C, so the only per-element
-            # Python cost is the call itself.
-            y1_list = (-(v1) / w).tolist()
-            y2_list = (-(v2) / w).tolist()
-            theta1_accel = np.fromiter(
-                map(atan2, y1_list, (xs - center_p).tolist()),
-                dtype=np.float64,
-                count=n,
-            )
-            theta0_decel = np.fromiter(
-                map(atan2, y1_list, (xs - center_m).tolist()),
-                dtype=np.float64,
-                count=n,
-            )
-            theta1_decel = np.fromiter(
-                map(atan2, y2_list, (a1 - center_m).tolist()),
-                dtype=np.float64,
-                count=n,
-            )
-            dt_accel = (theta1_accel - theta0_accel) / w
-            dt_decel = (theta1_decel - theta0_decel) / w
-            bad |= (dt_accel < -1e-9) | (dt_decel < -1e-9)
-            t_accel = np.maximum(dt_accel, 0.0)
-            t_decel = np.maximum(dt_decel, 0.0)
-
-        # Scalar guard short-circuits the vector math never takes: an
-        # exhausted phase returns 0.0 before any arithmetic.
-        t_accel = np.where(xs <= a0, 0.0, t_accel)
-        t_decel = np.where((a1 <= xs) & (v1 <= _V_EPS), 0.0, t_decel)
-        times = t_accel + t_decel
-
-        if bad.any():
-            for index in np.flatnonzero(bad):
-                times[index] = self.seek_time(x0, float(x1[index]))
-        return times

@@ -18,12 +18,12 @@ The planner is stateless; the device model owns the sled state.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
-from repro.mems.kinematics import InfeasibleManeuver, SledKinematics, _numpy
+from repro.mems.kinematics import InfeasibleManeuver, SledKinematics
 from repro.mems.parameters import MEMSParameters
+from repro.nputil import get_numpy
 
 _LOWER_BOUND_MARGIN = 1.0 - 1e-6
 """Relative safety margin on the analytic seek bound.
@@ -45,8 +45,9 @@ def x_seek_lower_bounds(params: MEMSParameters) -> Tuple[float, ...]:
 
     ``x_seek_lower_bounds(params)[d]`` never exceeds the exact
     ``x_seek_and_settle`` cost of any seek spanning ``d`` cylinders, which
-    makes it a valid pruning oracle for SPTF: the true positioning delay is
-    ``max(x_seek + settle, y_seek) >= x_seek + settle >= bounds[d]``.
+    makes it an admissible bound for SPTF's best-first selection: the true
+    positioning delay is ``max(x_seek + settle, y_seek) >= x_seek + settle
+    >= bounds[d]``.
 
     The exact X seek time is *not* a pure function of the cylinder delta —
     the spring restoring force makes edge seeks slower than centered seeks
@@ -58,21 +59,18 @@ def x_seek_lower_bounds(params: MEMSParameters) -> Tuple[float, ...]:
     the constant-``a_max`` bang-bang time ``2·sqrt(D / a_max)``.  Any seek
     of one cylinder or more also pays the full settle delay (the settle
     threshold is half a bit width).  The table is monotone in the delta
-    (enforced by a suffix-min envelope), so a candidate walk ordered by
-    cylinder distance can stop at the first bucket whose bound exceeds the
-    best exact estimate.
+    (enforced by a suffix-min envelope).
 
     Built on first use per parameter set and memoized at module level, so
     every device built from the same (hashable, frozen) ``MEMSParameters``
     — in this process or in a forked sweep worker — shares one table.
-    Devices defer the first call until a scheduler actually consults the
-    bound oracle — the pruned bucket walk or a bound-screened selection
-    (:attr:`repro.mems.device.MEMSDevice.positioning_lower_bounds` is a
-    lazy property) — so runs that never queue more than one request never
-    build it.  The array evaluation (``numpy.sqrt`` is bitwise identical
-    to ``math.sqrt``) keeps even that first call cheap.
+    Devices defer the first call until a deep SPTF selection consults the
+    bound oracle (:attr:`repro.mems.device.MEMSDevice
+    .positioning_lower_bounds` is a lazy property), so runs whose queues
+    stay shallow never build it.  The array evaluation (``numpy.sqrt`` is
+    bitwise identical to ``math.sqrt``) keeps even that first call cheap.
     """
-    np = _numpy()
+    np = get_numpy()
     a_max = params.sled_acceleration + params.spring_omega_sq * params.x_max
     settle = params.settle_time
     bit_width = params.bit_width
@@ -176,12 +174,6 @@ class SeekPlanner:
         else:
             self._x_pair_canonical = self._x_seek_and_settle_canonical
             self._y_rightward = self._y_seek_rightward
-        # Canonical-pair cache feeding the batch pricing path; a plain dict
-        # (keys are (x0, x1) mirrored to rightward form) because the batch
-        # fill writes many entries per call.  Disabled alongside the scalar
-        # caches so the uncached benchmark baseline stays uncached.
-        self._batch_cache: dict = {} if cache_size else None
-        self._batch_cache_limit = cache_size
 
     # -- component maneuvers --------------------------------------------- #
 
@@ -209,58 +201,6 @@ class SeekPlanner:
             self.kinematics.seek_time(x0, x1),
             0.0 if abs(x1 - x0) < self._settle_threshold else self._settle_cost,
         )
-
-    def x_seek_and_settle_batch(self, x0: float, targets):
-        """(seek, settle) arrays for many X targets from one start.
-
-        The array twin of :meth:`x_seek_and_settle`, bit-identical per
-        element: seeks come from
-        :meth:`~repro.mems.kinematics.SledKinematics.seek_time_batch` and
-        the settle test replays ``abs(x1 - x0) < threshold`` with numpy
-        (negation and ``abs`` are exact, so the mirror canonicalization
-        never changes a settle decision).  Pairs already priced by an
-        earlier batch call are served from a canonical-pair dict; with the
-        planner's caches disabled every call recomputes everything.
-        """
-        np = _numpy()
-        x1 = np.asarray(targets, dtype=np.float64)
-        # The settle test is pure arithmetic on the endpoints (``abs`` and a
-        # compare are exact), so it is always vector-evaluated; only the
-        # seek times go through the canonical-pair cache.
-        settles = np.where(
-            np.abs(x1 - x0) < self._settle_threshold,
-            0.0,
-            self._settle_cost,
-        )
-        cache = self._batch_cache
-        if cache is None:
-            return self.kinematics.seek_time_batch(x0, x1), settles
-        targets_list = targets if type(targets) is list else x1.tolist()
-        get = cache.get
-        seeks_list = []
-        append = seeks_list.append
-        misses = []
-        for index, xt in enumerate(targets_list):
-            key = (x0, xt) if xt >= x0 else (-x0, -xt)
-            hit = get(key)
-            append(hit)
-            if hit is None:
-                misses.append(index)
-        if misses:
-            miss_targets = np.array(
-                [targets_list[index] for index in misses], dtype=np.float64
-            )
-            times = self.kinematics.seek_time_batch(x0, miss_targets).tolist()
-            if len(cache) > self._batch_cache_limit:
-                cache.clear()
-            for slot, index in enumerate(misses):
-                xt = targets_list[index]
-                key = (x0, xt) if xt >= x0 else (-x0, -xt)
-                value = times[slot]
-                cache[key] = value
-                seeks_list[index] = value
-        seeks = np.fromiter(seeks_list, dtype=np.float64, count=len(seeks_list))
-        return seeks, settles
 
     def y_seek_time(
         self, y0: float, vy0: float, y_target: float, direction: int

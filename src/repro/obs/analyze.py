@@ -230,8 +230,6 @@ class DispatchStats:
     candidates: int = 0
     candidates_priced: int = 0
     candidates_pruned: int = 0
-    cache_hits: Optional[int] = None
-    cache_misses: Optional[int] = None
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -248,9 +246,6 @@ class DispatchStats:
                 out["priced_fraction"] = (
                     self.candidates_priced / self.candidates
                 )
-        if self.cache_hits is not None:
-            out["cache_hits"] = self.cache_hits
-            out["cache_misses"] = self.cache_misses
         return out
 
 
@@ -334,10 +329,6 @@ def analyze_events(
             if "candidates_priced" in event:
                 stats.candidates_priced += event["candidates_priced"]
                 stats.candidates_pruned += event["candidates_pruned"]
-            if "cache_hits" in event:
-                # Cumulative counters: the last value is the run total.
-                stats.cache_hits = event["cache_hits"]
-                stats.cache_misses = event["cache_misses"]
         elif kind == "obs.window":
             obs_windows += 1
         elif kind == "slo.violation":

@@ -311,10 +311,6 @@ class MetricsTracer:
                 registry.counter(f"phase.{phase}_s").inc(event[phase])
             registry.counter("device_busy_s").inc(event["total"])
         elif kind == "sched.dispatch":
-            if "cache_hits" in event:
-                # Cumulative counters: keep the latest snapshot as gauges.
-                registry.set_gauge("sched.cache_hits", event["cache_hits"])
-                registry.set_gauge("sched.cache_misses", event["cache_misses"])
             if "candidates_priced" in event:
                 # Per-dispatch pruning split: accumulate so the final
                 # priced/(priced+pruned) ratio summarizes the whole run.
@@ -326,8 +322,8 @@ class MetricsTracer:
                 )
             fast_path = event.get("fast_path")
             if fast_path is not None:
-                # Per-path dispatch counts: how often the adaptive selector
-                # served from each fast path over the run.
+                # Per-path dispatch counts: how often SPTF scanned and how
+                # often it priced best-first over the run.
                 registry.counter(f"sched.fast_path.{fast_path}").inc()
         elif kind == "sim.end":
             end_time = event["t"]

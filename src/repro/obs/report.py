@@ -274,7 +274,7 @@ def _analysis_sections(
     if analysis.dispatch:
         doc.heading(f"{prefix}scheduler dispatch efficiency", level=3)
         headers = ["scheduler", "dispatches", "mean candidates",
-                   "priced", "pruned", "priced %", "cache hits", "cache misses"]
+                   "priced", "pruned", "priced %"]
         rows = []
         for name in sorted(analysis.dispatch):
             stats = analysis.dispatch[name].to_dict()
@@ -286,8 +286,6 @@ def _analysis_sections(
                 fmt(stats.get("candidates_pruned")),
                 f"{stats['priced_fraction']:.2%}"
                 if "priced_fraction" in stats else "—",
-                fmt(stats.get("cache_hits")),
-                fmt(stats.get("cache_misses")),
             ])
         doc.table(headers, rows)
     series = analysis.timeseries

@@ -34,10 +34,9 @@ Event kinds emitted by the stack:
     ``positioning`` is seek + rotational latency).
 ``sched.dispatch``
     The scheduler's pick (``rid``), with the candidate-set size it chose
-    from and — for the estimate-caching SPTF variants — cumulative
-    estimate-cache hit/miss counters plus the per-dispatch pruning split
+    from and — for the SPTF variants — the per-dispatch pricing split
     (``candidates_priced``/``candidates_pruned``; always summing to
-    ``candidates``).
+    ``candidates``) and the selection ``fast_path``.
 ``fleet.route``
     The fleet front-end's routing decision for one request (merged fleet
     traces only; see :mod:`repro.fleet.merge`): the chosen ``member``
@@ -72,6 +71,7 @@ import gzip
 import io
 import json
 import os
+import zlib
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union, cast
 
@@ -130,13 +130,12 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
 
 Emitters may add extra fields (``dev.access`` adds ``device``, ``bits``,
 and the post-access ``cylinder``; ``sched.dispatch`` adds
-``cache_hits``/``cache_misses``,
-``candidates_priced``/``candidates_pruned``, and the selection
-``fast_path`` — ``scan``/``vectorized``/``pruned`` — on the SPTF
-variants); the validator checks only for the required ones, plus the
-cross-field invariants it knows (``dev.access`` phase sums;
-``candidates_priced + candidates_pruned == candidates`` and a known
-``fast_path`` value when the pruning fields are present).
+``candidates_priced``/``candidates_pruned`` and the selection
+``fast_path`` — ``scan`` or ``pruned`` — on the SPTF variants); the
+validator checks only for the required ones, plus the cross-field
+invariants it knows (``dev.access`` phase sums; ``candidates_priced +
+candidates_pruned == candidates`` and a known ``fast_path`` value when
+the pricing fields are present).
 """
 
 
@@ -399,21 +398,30 @@ def iter_trace_lines(
     """Yield ``(lineno, event)`` pairs from a JSONL trace, streaming.
 
     Line numbers are 1-based positions in the (decompressed) file — what
-    the validator reports and what ``sed -n '42p'`` will show you.
+    the validator reports and what ``sed -n '42p'`` will show you.  A
+    damaged trace (a ``.gz`` cut short or corrupted mid-stream, or bytes
+    that are not UTF-8) raises ``ValueError`` located at the first line
+    that could not be read.
     """
+    lineno = 0
     with _open_text(os.fspath(path), "r") as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{os.fspath(path)}:{lineno}: not valid JSON: {exc}"
-                ) from None
-            if not isinstance(event, dict):
-                raise ValueError(
-                    f"{os.fspath(path)}:{lineno}: event is not an object"
-                )
-            yield lineno, event
+        try:
+            for lineno, line in enumerate(stream, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    event = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"{os.fspath(path)}:{lineno}: not valid JSON: {exc}"
+                    ) from None
+                if not isinstance(event, dict):
+                    raise ValueError(
+                        f"{os.fspath(path)}:{lineno}: event is not an object"
+                    )
+                yield lineno, event
+        except (EOFError, zlib.error, gzip.BadGzipFile, UnicodeDecodeError) as exc:
+            raise ValueError(
+                f"{os.fspath(path)}:{lineno + 1}: damaged trace: {exc}"
+            ) from None

@@ -11,10 +11,10 @@ Validation checks the ``trace.meta`` header, that every event carries
 ``dev.access``/``sched.dispatch`` events to requests), that time never runs
 backwards, that every ``dev.access`` event's serialized phases sum to its
 total (``positioning + transfer + turnarounds == total``), and that every
-``sched.dispatch`` event carrying the lower-bound-pruning telemetry
-accounts for each candidate exactly once (``candidates_priced +
-candidates_pruned == candidates``) and names a known selection
-``fast_path`` (:data:`FAST_PATHS`) when it carries one.  Live-engine
+``sched.dispatch`` event carrying the SPTF pricing telemetry accounts
+for each candidate exactly once (``candidates_priced + candidates_pruned
+== candidates``) and names a known selection ``fast_path``
+(:data:`FAST_PATHS`) when it carries one.  Live-engine
 events (:mod:`repro.obs.live`) get their own checks: every ``obs.window``
 must span a non-empty interval with utilization in ``[0, 1]`` and
 non-negative counts/queue depth, and every ``slo.violation`` must carry an
@@ -64,9 +64,9 @@ from repro.obs.tracer import (
 
 PHASE_SUM_REL_TOL = 1e-9
 
-FAST_PATHS = frozenset({"scan", "pruned", "vectorized"})
-"""Valid ``fast_path`` values in ``sched.dispatch`` events — which
-selection strategy the adaptive SPTF stack used for that dispatch."""
+FAST_PATHS = frozenset({"scan", "pruned"})
+"""Valid ``fast_path`` values in ``sched.dispatch`` events — whether SPTF
+priced every candidate or priced best-first by lower bound."""
 
 
 def validate_events(

@@ -154,16 +154,12 @@ class SimConfig:
             (:class:`~repro.obs.live.SLOSpec`) tracked online by the live
             aggregator; violations are emitted as ``slo.violation`` trace
             events.  Any sequence is accepted and normalized to a tuple.
-        scheduler_params: Extra keyword arguments for the scheduler factory
-            (e.g. ``{"cache": False}`` or ``{"prune": "always"}`` for the
-            SPTF variants; ``prune`` accepts ``'auto'`` — the default,
-            picking scan/vectorized/pruned selection per dispatch from the
-            queue depth — ``'always'``, ``'never'``, or a legacy bool).
-            The dense seek/lower-bound tables the pruned SPTF path indexes
-            are memoized at module level on the (frozen) device parameters
-            and built lazily on first pruned selection, so sweep workers
-            forked from one parent share a single copy instead of
-            rebuilding them per config.
+        scheduler_params: Keyword options for the scheduler factory, e.g.
+            ``{"age_weight": 0.02}`` for ASPTF or
+            ``{"sectors_per_cylinder": 2700}`` for SXTF.  Only the options
+            a factory declares are accepted: anything else makes
+            :meth:`build_scheduler` raise ``ValueError`` naming the
+            scheduler, the unknown options and the accepted ones.
         workload_params: Extra keyword arguments for the workload builder.
     """
 

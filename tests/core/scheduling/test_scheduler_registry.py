@@ -50,8 +50,40 @@ class TestMakeScheduler:
         assert scheduler.age_weight == 0.07
 
     def test_sptf_cache_kwarg(self):
-        scheduler = make_scheduler("SPTF", MEMSDevice(), cache=False)
-        assert scheduler._estimates is None
+        # SPTF takes no options: a saved config that sets ``cache`` must
+        # fail loudly rather than silently run something else.
+        with pytest.raises(ValueError) as excinfo:
+            make_scheduler("SPTF", MEMSDevice(), cache=False)
+        message = str(excinfo.value)
+        assert "SPTF" in message
+        assert "'cache'" in message
+        assert "accepted: none" in message
+
+    @pytest.mark.parametrize(
+        "name, options, accepted",
+        [
+            ("FCFS", {"prune": "never"}, "none"),
+            ("SPTF", {"age_weight": 0.5}, "none"),
+            ("ASPTF", {"age_weight": 0.5, "prune": False}, "'age_weight'"),
+            ("SXTF", {"cache": True}, "'sectors_per_cylinder'"),
+        ],
+    )
+    def test_unknown_options_rejected(self, name, options, accepted):
+        with pytest.raises(ValueError) as excinfo:
+            make_scheduler(name, MEMSDevice(), **options)
+        message = str(excinfo.value)
+        assert f"scheduler {name} does not accept" in message
+        assert message.endswith(f"accepted: {accepted}")
+        for option in options:
+            if option != "age_weight" or name != "ASPTF":
+                assert repr(option) in message.split(";")[0]
+
+    @pytest.mark.parametrize("name", SCHEDULERS.names())
+    def test_sectors_per_cylinder_accepted_by_every_scheduler(self, name):
+        device = MEMSDevice()
+        spc = device.geometry.sectors_per_cylinder
+        scheduler = make_scheduler(name, device, sectors_per_cylinder=spc)
+        assert scheduler.name == SCHEDULERS.canonical_name(name)
 
 
 class TestSXTFAutoGeometry:

@@ -1,16 +1,12 @@
-"""The SPTF estimate caches must never change which request is dispatched.
+"""The device caches must never change which request SPTF dispatches.
 
-Both optimizations under test here are supposed to be pure speedups:
-
-* the device-side geometry/profile memoization
-  (``MEMSDevice(memoize=True)``, ``DiskDevice(memoize=True)``);
-* the scheduler-side per-state estimate cache
-  (``SPTFScheduler(cache=True)`` / ``AgedSPTFScheduler(cache=True)``).
-
-Each test replays an identical seeded request stream through a cached and
-an uncached (seed-equivalent) stack and asserts the *dispatch order* — the
-only thing the simulation can observe — is identical, including
-tie-breaking.
+``MEMSDevice(memoize=True)`` and ``DiskDevice(memoize=True)`` cache the
+geometry, the seek planner's maneuvers and the per-request profiles —
+pure functions of the request address or the maneuver endpoints.  Each
+test replays an identical seeded request stream through a memoizing and
+an unmemoized stack and asserts the *dispatch order* — the only thing the
+simulation can observe — is identical, including tie-breaking, or that
+the oracle returns bitwise-equal estimates.
 """
 
 import random
@@ -63,9 +59,9 @@ def _make_stack(device_kind, scheduler_kind, optimized):
     else:
         device = DiskDevice(atlas_10k(), memoize=optimized)
     if scheduler_kind == "sptf":
-        scheduler = SPTFScheduler(device, cache=optimized)
+        scheduler = SPTFScheduler(device)
     else:
-        scheduler = AgedSPTFScheduler(device, cache=optimized)
+        scheduler = AgedSPTFScheduler(device)
     return device, scheduler
 
 
@@ -97,18 +93,6 @@ def test_mems_estimates_bitwise_equal():
         )
         # Advance both sleds identically so estimates cover many states.
         assert cached.service(request, 0.0) == uncached.service(request, 0.0)
-
-
-def test_estimate_cache_invalidated_on_dispatch():
-    device = MEMSDevice()
-    scheduler = SPTFScheduler(device)
-    requests = _request_stream(device.capacity_sectors, 30, seed=7)
-    for request in requests:
-        scheduler.add(request)
-    scheduler.select_index(0.0)
-    assert scheduler._estimates  # populated by the selection pass
-    scheduler.pop_next(0.0)
-    assert not scheduler._estimates  # state changed -> cache dropped
 
 
 def test_out_of_range_request_still_raises_with_caches_on():

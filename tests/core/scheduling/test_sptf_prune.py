@@ -1,30 +1,33 @@
-"""Lower-bound pruning must never change which request SPTF dispatches.
+"""SPTF's best-first selection must dispatch exactly what a plain scan does.
 
-The pruned selection walk (``prune=True``) is a pure speedup over the naive
-full scan: it buckets pending requests by cylinder, visits buckets in
-increasing lower-bound order, and stops when the next bucket's admissible
-bound strictly exceeds the best exact estimate.  These tests pin the two
-properties the optimization rests on:
+Deeper than ``SCAN_DEPTH`` pending requests, SPTF prices candidates in
+order of an admissible lower bound and stops at the first bound strictly
+greater than the best exact score.  These tests pin the properties that
+rests on:
 
-* **equivalence** — pruned and naive (``cache=False, prune=False``) stacks
-  replay identical seeded streams and must produce *bit-identical* dispatch
-  orders and simulation statistics, on both devices, both SPTF variants,
-  traced and untraced, and on request streams drawn from every layout
-  scheme's placement;
-* **admissibility** — ``positioning_lower_bound`` never exceeds
-  ``estimate_positioning`` for any sampled (device state, request, now)
-  triple, and the dense bound tables are monotone in cylinder distance
-  (otherwise the early-stop rule could prune the winner).
+* **equivalence** — every selection matches
+  :class:`~tests.core.scheduling.sptf_reference.ReferenceSPTF`, a plain
+  full scan, on both devices and both SPTF variants: on seeded and
+  hypothesis-generated queues from 0 to 1024 deep (random, duplicated,
+  single-cylinder and clustered streams), on layout-driven streams, and
+  over whole traced and untraced simulations;
+* **admissibility** — the dense ``positioning_lower_bounds`` table never
+  exceeds ``estimate_positioning`` for any sampled (device state,
+  request, now) triple, and it is monotone in cylinder distance;
+* **pricing** — deep queues price fewer candidates than are pending.
 """
 
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.layout import LAYOUTS, make_layout
 from repro.core.layout.base import FileSet
 from repro.core.scheduling import make_scheduler
 from repro.core.scheduling.sptf import (
+    SCAN_DEPTH,
     AgedSPTFScheduler,
     SPTFScheduler,
     device_supports_pruning,
@@ -34,6 +37,7 @@ from repro.disk.device import DiskDevice
 from repro.mems.device import MEMSDevice
 from repro.mems.parameters import MEMSParameters
 from repro.sim.request import IOKind, Request
+from tests.core.scheduling.sptf_reference import ReferenceSPTF, drain_order
 
 
 def _make_device(kind):
@@ -47,10 +51,14 @@ def _make_device(kind):
     return DiskDevice(atlas_10k())
 
 
-def _make_scheduler(kind, device, prune, cache):
+def _make_pair(kind, device, age_weight=0.01):
+    """(production scheduler, reference scan) for one SPTF variant."""
     if kind == "sptf":
-        return SPTFScheduler(device, cache=cache, prune=prune)
-    return AgedSPTFScheduler(device, cache=cache, prune=prune)
+        return SPTFScheduler(device), ReferenceSPTF(device)
+    return (
+        AgedSPTFScheduler(device, age_weight=age_weight),
+        ReferenceSPTF(device, age_weight=age_weight, name="ASPTF"),
+    )
 
 
 def _random_stream(capacity, count, seed, writes=False):
@@ -71,26 +79,6 @@ def _random_stream(capacity, count, seed, writes=False):
     return requests
 
 
-def _drain_order(device, scheduler, requests, refill_every=3):
-    """Dispatch order with mid-drain refills (so selections run against
-    queues of many depths, including ties injected by duplicates)."""
-    preload = len(requests) // 2
-    for request in requests[:preload]:
-        scheduler.add(request)
-    refill = iter(requests[preload:])
-    order = []
-    now = 0.0
-    while len(scheduler):
-        request = scheduler.pop_next(now)
-        order.append(request.request_id)
-        now += device.service(request, now).total
-        if refill_every and len(order) % refill_every == 0:
-            for extra in (next(refill, None), next(refill, None)):
-                if extra is not None:
-                    scheduler.add(extra)
-    return order
-
-
 DEVICE_KINDS = ("mems", "mems-nospring", "disk")
 
 
@@ -101,85 +89,64 @@ class TestDispatchEquivalence:
     def test_random_streams(self, device_kind, scheduler_kind, seed):
         capacity = _make_device(device_kind).capacity_sectors
         requests = _random_stream(capacity, 140, seed, writes=True)
-        naive_dev = _make_device(device_kind)
-        naive = _drain_order(
-            naive_dev,
-            _make_scheduler(scheduler_kind, naive_dev, False, False),
-            requests,
-        )
-        pruned_dev = _make_device(device_kind)
-        pruned = _drain_order(
-            pruned_dev,
-            _make_scheduler(scheduler_kind, pruned_dev, True, True),
-            requests,
-        )
-        assert naive == pruned
+        orders = []
+        for side in (0, 1):
+            device = _make_device(device_kind)
+            scheduler = _make_pair(scheduler_kind, device)[side]
+            orders.append(drain_order(device, scheduler, requests))
+        assert orders[0] == orders[1]
 
     @pytest.mark.parametrize("device_kind", ["mems", "disk"])
     def test_duplicate_requests_tie_break_identically(self, device_kind):
         # Equal-valued requests are distinct pending entries; ties must
-        # resolve to the earliest arrival in both paths.
+        # resolve to the earliest queue index in both paths.
         capacity = _make_device(device_kind).capacity_sectors
         base = _random_stream(capacity, 30, seed=3)
         requests = []
         for index, request in enumerate(base):
             requests.append(request)
-            requests.append(
-                Request(
-                    request.arrival_time,
-                    request.lbn,
-                    request.sectors,
-                    request.kind,
-                    request_id=1000 + index,
-                )
-            )
-        naive_dev = _make_device(device_kind)
-        naive = _drain_order(
-            naive_dev, SPTFScheduler(naive_dev, cache=False, prune=False),
-            requests,
-        )
-        pruned_dev = _make_device(device_kind)
-        pruned = _drain_order(
-            pruned_dev, SPTFScheduler(pruned_dev, cache=True, prune=True),
-            requests,
-        )
-        assert naive == pruned
+            requests.append(request._replace(request_id=1000 + index))
+        orders = []
+        for side in (0, 1):
+            device = _make_device(device_kind)
+            scheduler = _make_pair("sptf", device)[side]
+            orders.append(drain_order(device, scheduler, requests))
+        assert orders[0] == orders[1]
 
     @pytest.mark.parametrize("device_kind", ["mems", "disk"])
     def test_single_cylinder_queue_degenerates_to_full_scan(self, device_kind):
-        # Every pending request on one cylinder: the bound can never beat
-        # the incumbent, so the walk prices everything — and must still
-        # agree with the naive scan.
-        device = _make_device(device_kind)
-        scheduler = SPTFScheduler(device, cache=True, prune=True)
-        naive_dev = _make_device(device_kind)
-        naive_sched = SPTFScheduler(naive_dev, cache=False, prune=False)
+        # Every pending request on one cylinder: every bound is 0, so no
+        # bound can beat an exact score and best-first prices everything —
+        # and must still agree with the scan.
         requests = [
             Request(0.0, lbn=slot, sectors=1, kind=IOKind.READ, request_id=slot)
             for slot in range(12)
         ]
-        assert _drain_order(device, scheduler, requests, refill_every=0) == (
-            _drain_order(naive_dev, naive_sched, requests, refill_every=0)
-        )
-        # The drain's final pop saw a single candidate: the depth-1
-        # shortcut dispatches it without pricing anything.
+        orders = []
+        for side in (0, 1):
+            device = _make_device(device_kind)
+            scheduler = _make_pair("sptf", device)[side]
+            orders.append(drain_order(device, scheduler, requests, 0))
+        assert orders[0] == orders[1]
+        scheduler = SPTFScheduler(_make_device(device_kind))
+        for request in requests:
+            scheduler.add(request)
+        scheduler.pop_next(0.0)
+        assert scheduler.last_fast_path == "pruned"
+        assert scheduler.last_candidates == len(requests)
+        assert scheduler.last_pruned == 0
+        # Down to one candidate, nothing is priced at all.
+        while len(scheduler) > 1:
+            scheduler.pop_next(0.0)
+        scheduler.pop_next(0.0)
         assert scheduler.last_candidates == 1
         assert scheduler.last_priced == 0
-        # A multi-candidate selection on one cylinder prices the whole
-        # queue — the bound can never beat the incumbent.
-        repeat_dev = _make_device(device_kind)
-        repeat = SPTFScheduler(repeat_dev, cache=True, prune=True)
-        for request in requests:
-            repeat.add(request)
-        repeat.pop_next(0.0)
-        assert repeat.last_candidates == len(requests)
-        assert repeat.last_pruned == 0
 
     def test_layout_driven_streams(self):
         # Request streams drawn from every layout scheme's placement: the
         # organ-pipe/columnar/subregioned placements concentrate load in
         # ways random streams don't (heavy cylinder reuse, Y-constrained
-        # placements), which stresses tie-breaking and bucket reuse.
+        # placements), which stresses tie-breaking.
         fileset = FileSet(small_blocks=120, large_files=4)
         for layout_name in LAYOUTS.names():
             for device_kind in ("mems", "disk"):
@@ -201,19 +168,95 @@ class TestDispatchEquivalence:
                     requests.append(
                         Request(index * 1e-4, lbn, sectors, IOKind.READ, index)
                     )
-                naive_dev = _make_device(device_kind)
-                naive = _drain_order(
-                    naive_dev,
-                    SPTFScheduler(naive_dev, cache=False, prune=False),
-                    requests,
-                )
-                pruned_dev = _make_device(device_kind)
-                pruned = _drain_order(
-                    pruned_dev,
-                    SPTFScheduler(pruned_dev, cache=True, prune=True),
-                    requests,
-                )
-                assert naive == pruned, (layout_name, device_kind)
+                orders = []
+                for side in (0, 1):
+                    device = _make_device(device_kind)
+                    scheduler = _make_pair("sptf", device)[side]
+                    orders.append(drain_order(device, scheduler, requests))
+                assert orders[0] == orders[1], (layout_name, device_kind)
+
+
+def _stream(device, shape, depth, now, rng):
+    """``depth`` requests shaped ``shape``, arriving in ``[0, now]``."""
+    capacity = device.capacity_sectors
+
+    def cylinder(lbn):
+        return device.request_cylinder(Request(0.0, lbn, 1, IOKind.READ))
+
+    if shape == "one-cylinder":
+        base = rng.randrange(0, capacity - 128)
+        while cylinder(base) != cylinder(base + 71):
+            base = rng.randrange(0, capacity - 128)
+    elif shape == "cluster":
+        base = rng.randrange(0, capacity - 60_000)
+    requests = []
+    for index in range(depth):
+        if shape == "duplicates" and requests and rng.random() < 0.5:
+            requests.append(
+                rng.choice(requests)._replace(request_id=index)
+            )
+            continue
+        if shape == "one-cylinder":
+            sectors = rng.randint(1, 8)
+            lbn = base + rng.randrange(0, 64)
+        elif shape == "cluster":
+            sectors = rng.choice((1, 8, 64))
+            lbn = base + rng.randrange(0, 60_000 - sectors)
+        else:
+            sectors = rng.choice((1, 2, 4, 8, 16, 64))
+            lbn = rng.randrange(0, capacity - sectors)
+        kind = IOKind.WRITE if rng.random() < 0.25 else IOKind.READ
+        requests.append(
+            Request(rng.uniform(0.0, now), lbn, sectors, kind, index)
+        )
+    return requests
+
+
+class TestSelectionProperty:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        device_kind=st.sampled_from(["mems", "disk"]),
+        age_weight=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+        depth=st.one_of(
+            st.integers(0, 2 * SCAN_DEPTH + 2), st.integers(0, 1024)
+        ),
+        shape=st.sampled_from(
+            ["random", "duplicates", "one-cylinder", "cluster"]
+        ),
+        warmup=st.integers(0, 4),
+        now=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_selection_matches_the_scan(
+        self, device_kind, age_weight, depth, shape, warmup, now, seed
+    ):
+        rng = random.Random(seed)
+        device = _make_device(device_kind)
+        # Move the mechanics off their initial state.
+        for request in _stream(device, "random", warmup, now, rng):
+            now += device.service(request, now).total
+        requests = _stream(device, shape, depth, now, rng)
+        scheduler, reference = _make_pair(
+            "asptf" if age_weight else "sptf", device, age_weight
+        )
+        for request in requests:
+            scheduler.add(request)
+            reference.add(request)
+        # A full drain up to 128 deep; deeper queues check their first 128
+        # selections (the reference scan is quadratic over a drain).
+        for _ in range(min(depth, 128)):
+            expected = reference.pop_next(now)
+            picked = scheduler.pop_next(now)
+            assert picked.request_id == expected.request_id
+            assert (
+                scheduler.last_priced + scheduler.last_pruned
+                == scheduler.last_candidates
+            )
+            now += device.service(picked, now).total
 
 
 class TestSimulationEquivalence:
@@ -226,37 +269,42 @@ class TestSimulationEquivalence:
         from repro.sim import Simulation
         from repro.sim.config import SimConfig
 
-        def run(prune):
-            config = SimConfig(
-                device=device,
-                scheduler=scheduler,
-                rate=1100.0,
-                num_requests=500,
-                seed=5,
-                scheduler_params={"prune": prune, "cache": prune},
-            )
-            tracer = RingBufferTracer() if traced else None
-            sim = Simulation.from_config(config, tracer=tracer)
-            result = sim.run(config.build_requests(sim.device))
-            return result, tracer
+        config = SimConfig(
+            device=device,
+            scheduler=scheduler,
+            rate=2000.0 if device == "mems" else 160.0,
+            num_requests=600,
+            seed=5,
+        )
 
-        naive_result, _ = run(prune=False)
-        pruned_result, tracer = run(prune=True)
-        assert [r.request.request_id for r in naive_result.records] == [
-            r.request.request_id for r in pruned_result.records
-        ]
-        assert (
-            naive_result.mean_response_time
-            == pruned_result.mean_response_time
-        )
-        assert naive_result.end_time == pruned_result.end_time
-        assert (
-            naive_result.response_time_cv2 == pruned_result.response_time_cv2
-        )
+        def run(reference):
+            tracer = RingBufferTracer() if traced else None
+            if reference:
+                sim_device = config.build_device()
+                sim = Simulation(
+                    sim_device,
+                    ReferenceSPTF(
+                        sim_device,
+                        age_weight=0.01 if scheduler == "ASPTF" else 0.0,
+                        name=scheduler,
+                    ),
+                    tracer=tracer,
+                )
+            else:
+                sim = Simulation.from_config(config, tracer=tracer)
+            return sim.run(config.build_requests(sim.device)), tracer
+
+        expected, _ = run(reference=True)
+        result, tracer = run(reference=False)
+        assert result.records == expected.records
+        assert result.end_time == expected.end_time
         if traced:
             dispatches = tracer.by_kind("sched.dispatch")
-            assert dispatches
-            assert any(e["candidates_pruned"] > 0 for e in dispatches)
+            assert {event["fast_path"] for event in dispatches} == {
+                "scan",
+                "pruned",
+            }
+            assert any(event["candidates_pruned"] > 0 for event in dispatches)
             for event in dispatches:
                 assert (
                     event["candidates_priced"] + event["candidates_pruned"]
@@ -270,6 +318,7 @@ class TestLowerBoundAdmissibility:
     @pytest.mark.parametrize("device_kind", DEVICE_KINDS)
     def test_bound_never_exceeds_exact_estimate(self, device_kind):
         device = _make_device(device_kind)
+        table = device.positioning_lower_bounds
         capacity = device.capacity_sectors
         rng = random.Random(23)
         now = 0.0
@@ -281,7 +330,10 @@ class TestLowerBoundAdmissibility:
                 sectors,
                 rng.choice((IOKind.READ, IOKind.WRITE)),
             )
-            bound = device.positioning_lower_bound(request, now)
+            distance = abs(
+                device.request_cylinder(request) - device.current_cylinder
+            )
+            bound = table[distance]
             exact = device.estimate_positioning(request, now)
             assert bound <= exact, (
                 f"step {step}: lower bound {bound!r} exceeds exact "
@@ -300,7 +352,7 @@ class TestLowerBoundAdmissibility:
         assert all(b >= 0.0 for b in table)
         assert all(
             table[d] <= table[d + 1] for d in range(len(table) - 1)
-        ), "bound table must be nondecreasing for the early-stop rule"
+        ), "bound table must be nondecreasing in cylinder distance"
 
     def test_tables_shared_between_devices(self):
         # Module-level memoization on the frozen parameter sets: two
@@ -318,19 +370,22 @@ class TestLowerBoundAdmissibility:
 
 class TestPruneToggleAndFallback:
     def test_factory_and_config_plumb_prune_flag(self):
+        # The selection has no modes: configs that set ``prune`` or
+        # ``cache`` are rejected rather than silently run another way.
         from repro.sim.config import SimConfig
 
         device = MEMSDevice()
-        assert make_scheduler("SPTF", device).prune_enabled
-        assert not make_scheduler("SPTF", device, prune=False).prune_enabled
-        assert make_scheduler("ASPTF", device).prune_enabled
+        for name in ("SPTF", "ASPTF"):
+            for option in ("prune", "cache"):
+                with pytest.raises(ValueError, match=repr(option)):
+                    make_scheduler(name, device, **{option: False})
         config = SimConfig(scheduler_params={"prune": False})
-        sim_device = config.build_device()
-        assert not config.build_scheduler(sim_device).prune_enabled
+        with pytest.raises(ValueError, match="'prune'"):
+            config.build_scheduler(config.build_device())
 
     def test_device_without_oracle_falls_back_to_full_scan(self):
         class OracleOnlyDevice:
-            """Bare positioning oracle without the pruning surface."""
+            """Bare positioning oracle without the bound surface."""
 
             def __init__(self):
                 self._inner = MEMSDevice()
@@ -344,36 +399,68 @@ class TestPruneToggleAndFallback:
 
         device = OracleOnlyDevice()
         assert not device_supports_pruning(device)
-        scheduler = SPTFScheduler(device, prune=True)
-        assert not scheduler.prune_enabled
-        requests = _random_stream(device.capacity_sectors, 20, seed=2)
+        assert device_supports_pruning(MEMSDevice())
+        scheduler = SPTFScheduler(device)
+        requests = _random_stream(device.capacity_sectors, 40, seed=2)
         reference_dev = MEMSDevice()
-        reference = _drain_order(
-            reference_dev,
-            SPTFScheduler(reference_dev, cache=False, prune=False),
-            requests,
+        reference = drain_order(
+            reference_dev, ReferenceSPTF(reference_dev), requests
         )
-        assert _drain_order(device, scheduler, requests) == reference
-        # Without the oracle the walk never runs: the drain's final
-        # single-candidate pop reports the depth-1 shortcut (priced=0),
-        # and a fresh multi-candidate scan prices every candidate.
+        assert drain_order(device, scheduler, requests) == reference
+        # Without the oracle every selection is a scan: the drain's final
+        # single-candidate pop prices nothing, and a deep queue is priced
+        # in full.
         assert scheduler.last_candidates == 1
         assert scheduler.last_priced == 0
-        for request in requests[:5]:
+        for request in requests[: 2 * SCAN_DEPTH]:
             scheduler.add(request)
         scheduler.pop_next(0.0)
-        assert scheduler.last_candidates == 5
-        assert scheduler.last_priced == 5
+        assert scheduler.last_fast_path == "scan"
+        assert scheduler.last_priced == 2 * SCAN_DEPTH
         assert scheduler.last_pruned == 0
 
     @pytest.mark.parametrize("device_kind", ["mems", "disk"])
     def test_pruning_actually_prunes_on_spread_queues(self, device_kind):
+        # Every dispatch from 64 or more pending requests on a random
+        # stream prices fewer candidates than are pending.
         device = _make_device(device_kind)
         scheduler = SPTFScheduler(device)
-        requests = _random_stream(device.capacity_sectors, 128, seed=13)
+        requests = _random_stream(device.capacity_sectors, 160, seed=13)
         for request in requests:
             scheduler.add(request)
-        scheduler.pop_next(0.0)
-        assert scheduler.last_candidates == 128
-        assert 0 < scheduler.last_priced < 128
-        assert scheduler.last_priced + scheduler.last_pruned == 128
+        now = 0.0
+        while len(scheduler) >= 64:
+            request = scheduler.pop_next(now)
+            assert scheduler.last_fast_path == "pruned"
+            assert 0 < scheduler.last_priced < scheduler.last_candidates
+            assert (
+                scheduler.last_priced + scheduler.last_pruned
+                == scheduler.last_candidates
+            )
+            now += device.service(request, now).total
+
+
+class TestPricingCounts:
+    def test_aged_pricing_stays_small_on_deep_queues(self):
+        # ASPTF subtracts each candidate's own aging credit from its bound,
+        # so old requests do not unlock every other candidate: on MEMS at
+        # 2000 req/s the dispatches from 64+ pending price a handful each.
+        from repro.obs.tracer import RingBufferTracer
+        from repro.sim import Simulation
+        from repro.sim.config import SimConfig
+
+        config = SimConfig(
+            device="mems", scheduler="ASPTF", rate=2000.0,
+            num_requests=3000, seed=42,
+        )
+        tracer = RingBufferTracer()
+        sim = Simulation.from_config(config, tracer=tracer)
+        sim.run(config.build_requests(sim.device))
+        deep = [
+            event
+            for event in tracer.by_kind("sched.dispatch")
+            if event["candidates"] >= 64
+        ]
+        assert len(deep) > 1000
+        priced = sum(event["candidates_priced"] for event in deep)
+        assert priced / len(deep) <= 10

@@ -196,3 +196,67 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["--diff", str(a)])  # --diff needs exactly two
         assert excinfo.value.code == 2
+
+
+class TestDamagedTraces:
+    """A damaged ``.jsonl.gz`` ends both trace CLIs with one located line."""
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        path = tmp_path / "fresh.jsonl.gz"
+        SimConfig(rate=700.0, num_requests=600, trace_path=str(path)).run()
+        return path
+
+    @staticmethod
+    def _clis(path, capsys):
+        """(validate exit, output, analyze exit, output) for ``path``."""
+        from repro.obs.analyze import main as analyze_main
+
+        validate_code = main([str(path)])
+        validated = capsys.readouterr()
+        analyze_code = analyze_main([str(path)])
+        analyzed = capsys.readouterr()
+        assert validated.err == "" and analyzed.out == ""
+        return validate_code, validated.out, analyze_code, analyzed.err
+
+    def test_truncated_trace_is_located(self, trace, tmp_path, capsys):
+        import zlib
+
+        data = trace.read_bytes()
+        cut = data[: len(data) // 2]
+        path = tmp_path / "cut.jsonl.gz"
+        path.write_bytes(cut)
+        # Every complete line of the readable prefix is read; the line the
+        # cut runs through is the first that cannot be.
+        readable = zlib.decompressobj(31).decompress(cut)
+        line = readable.count(b"\n") + 1
+        prefix = f"{path}:{line}: damaged trace: "
+        v_code, v_out, a_code, a_err = self._clis(path, capsys)
+        assert (v_code, a_code) == (1, 1)
+        assert v_out.startswith(prefix) and v_out.count("\n") == 1
+        assert a_err.startswith("error: " + prefix)
+        assert a_err.count("\n") == 1
+
+    def test_corrupt_deflate_stream_is_located(self, trace, tmp_path, capsys):
+        import gzip
+        import zlib
+
+        lines = gzip.decompress(trace.read_bytes()).splitlines(keepends=True)
+        keep = len(lines) // 2
+        deflate = zlib.compressobj(9, zlib.DEFLATED, -15)
+        body = deflate.compress(b"".join(lines[:keep]))
+        body += deflate.flush(zlib.Z_FULL_FLUSH)
+        # A stored block whose length check fails: zlib.error mid-stream.
+        bad_block = b"\x00" + (16).to_bytes(2, "little") * 2
+        path = tmp_path / "corrupt.jsonl.gz"
+        path.write_bytes(
+            b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff" + body + bad_block
+        )
+        v_code, v_out, a_code, a_err = self._clis(path, capsys)
+        assert (v_code, a_code) == (1, 1)
+        location, message = v_out.split(": ", 1)
+        name, line = location.rsplit(":", 1)
+        assert name == str(path) and 1 <= int(line) <= keep + 1
+        assert message.startswith("damaged trace: ")
+        assert "invalid stored block lengths" in message
+        assert a_err == "error: " + v_out

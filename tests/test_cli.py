@@ -216,6 +216,31 @@ class TestConfigFlag:
         assert main(["simulate", "--config", "/nonexistent/sim.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scheduler, params",
+        [("FCFS", {"prune": "never"}), ("SPTF", {"age_weight": 0.5})],
+    )
+    def test_simulate_config_unknown_scheduler_option(
+        self, tmp_path, capsys, scheduler, params
+    ):
+        import json
+
+        from repro.sim import SimConfig
+
+        path = tmp_path / "sim.json"
+        config = SimConfig(
+            scheduler=scheduler, scheduler_params=params, num_requests=50
+        )
+        path.write_text(json.dumps(config.to_dict()))
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (option,) = params
+        assert captured.err == (
+            f"error: scheduler {scheduler} does not accept option "
+            f"{option!r}; accepted: none\n"
+        )
+
 
 class TestFleetCommand:
     def test_uniform_fleet_from_flags(self, capsys):
@@ -265,6 +290,31 @@ class TestFleetCommand:
         err = capsys.readouterr().err
         assert "unknown router" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_fleet_config_unknown_scheduler_option(
+        self, tmp_path, capsys, jobs
+    ):
+        import json
+
+        from repro.fleet import FleetConfig
+        from repro.sim import SimConfig
+
+        path = tmp_path / "fleet.json"
+        member = SimConfig(
+            scheduler="ASPTF", scheduler_params={"prune": "never"}
+        )
+        fleet = FleetConfig.uniform(
+            2, member=member, rate=1200.0, num_requests=200
+        )
+        path.write_text(json.dumps(fleet.to_dict()))
+        assert main(["fleet", "--config", str(path), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scheduler ASPTF does not accept option 'prune'; "
+            "accepted: 'age_weight'\n"
+        )
 
     def test_fleet_config_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "fleet.json"
