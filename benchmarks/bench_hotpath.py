@@ -656,8 +656,9 @@ simulation, deterministic merge — counting two events (arrival +
 completion) per request.  The acceptance-scale run (16 members, 1M
 requests) measures ~94k events/s on the single-core reference container
 (up from ~29k before the columnar pipeline: batch ingest with fused
-materialization, NamedTuple hot-path records, vectorized profile priming,
-the cursor-based event loop, the numpy merge, and the fleet-scope GC
+materialization, NamedTuple request tuples, completion columns in place
+of per-request records, vectorized profile priming, the cursor-based
+event loop, the one-lexsort column merge, and the fleet-scope GC
 pause).  The floor leaves ~2x headroom at full
 scale while catching a regression that loses any of those layers or makes
 the front-end or merge super-linear.

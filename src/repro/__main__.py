@@ -516,7 +516,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:
+        # parallel_map has stopped its workers and unlinked its segments,
+        # and run_fleet has removed its shard traces.
+        print("interrupted", file=sys.stderr)
+        return 130
+    except RuntimeError as exc:
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        print(f"error: {exc}", file=sys.stderr)  # a pool worker died
+        return 1
 
 
 if __name__ == "__main__":

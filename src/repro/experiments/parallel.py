@@ -12,17 +12,19 @@ can be pickled by reference:
 * **Persistent pool** — module-level functions (the fleet's
   ``_run_member``) go to a long-lived worker pool that is created once and
   reused across :func:`parallel_map` calls, so repeated fleet runs and
-  sweep invocations stop paying per-call fork+teardown.  Task arguments
-  still cross the process boundary, but
-  :class:`~repro.sim.batch.RequestBatch` columns are carried in POSIX
-  shared memory (one segment per batch, attached zero-copy in the worker)
-  instead of being serialized through the queue pipe.
+  sweep invocations stop paying per-call fork+teardown.
 * **Per-call fork** — sweep specs (device factories, request generators)
   are built from closures that are generally not picklable, so they fall
   back to a transient ``fork`` pool that receives the work function by
   inheritance: the parent publishes it in a module global immediately
   before forking, and workers receive only small picklable task tuples
   through the queue.
+
+Both are ``fork``-context :class:`concurrent.futures.ProcessPoolExecutor`
+pools.  Tasks and results are pickled: batches and results are a few numpy
+columns each.  A worker that dies fails the call with ``BrokenProcessPool``;
+a call that fails or is interrupted stops its workers at once, and the
+persistent pool is rebuilt by the next call.
 
 On platforms without ``fork`` (or with ``jobs <= 1``) everything runs
 sequentially in-process.
@@ -48,7 +50,7 @@ import atexit
 import multiprocessing
 import os
 import pickle
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.nputil import get_numpy
 
@@ -57,7 +59,7 @@ _POINT_FN: Optional[Callable] = None
 :func:`parallel_map` call is forking."""
 
 
-def _run_task(task: Tuple) -> object:
+def _run_task(*task) -> object:
     return _POINT_FN(*task)
 
 
@@ -117,7 +119,7 @@ def _env_jobs() -> int:
     raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {text!r}")
 
 
-# -- persistent pool + shared-memory column handoff --------------------------- #
+# -- worker pools ------------------------------------------------------------- #
 
 _pool = None
 _pool_workers = 0
@@ -136,19 +138,89 @@ def _fn_picklable(fn: Callable) -> bool:
     return True
 
 
+def _new_executor(workers: int):
+    """A ``fork`` executor: a dead worker fails it with ``BrokenProcessPool``
+    (``multiprocessing.Pool`` respawns the worker and waits forever)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_worker_init,
+        initargs=(os.getpid(),),
+    )
+
+
+def _worker_init(parent: int) -> None:
+    """Default GC whatever the parent's state at fork (run_fleet forks in
+    its GC pause), and SIGINT ignored: the parent reports a Ctrl-C and
+    stops the workers itself.  An idle worker waits on a queue whose write
+    end every worker holds, so it would outlive a parent killed outright;
+    a daemon thread ends it once ``parent`` is gone.
+    """
+    import gc
+    import signal
+    import threading
+
+    gc.enable()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    threading.Thread(target=_exit_with, args=(parent,), daemon=True).start()
+
+
+def _exit_with(parent: int) -> None:
+    import time
+
+    while os.getppid() == parent:
+        time.sleep(0.25)
+    os._exit(1)
+
+
+def _stop(executor) -> None:
+    """Stop ``executor`` without waiting for running tasks.
+
+    A worker killed halfway through a message would leave the executor
+    blocked on the rest of it (a result, or a task larger than the pipe
+    buffer); closing the parent's copies of those pipe ends turns both
+    into end of file or a broken pipe, which the executor handles.
+    """
+    processes = getattr(executor, "_processes", None) or {}
+    for process in list(processes.values()):
+        process.terminate()
+    if processes:
+        executor._result_queue._writer.close()
+        executor._call_queue._reader.close()
+    executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _map(executor, fn: Callable, tasks: Sequence[Tuple]) -> List[object]:
+    """``[fn(*task) for task in tasks]`` on ``executor``, in order.
+
+    Workers fork during submission, with SIGINT blocked so that none is
+    interrupted before :func:`_worker_init`; a Ctrl-C pressed meanwhile
+    reaches the parent afterwards.
+    """
+    import signal
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        futures = [executor.submit(fn, *task) for task in tasks]
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return [future.result() for future in futures]
+
+
 def shutdown_pool() -> None:
     """Tear down the persistent worker pool (idempotent).
 
-    Called automatically at interpreter exit and whenever a
-    :func:`parallel_map` call needs a different worker count; exposed for
-    tests and long-lived hosts that want to reclaim the workers early.
+    Called at interpreter exit, when a :func:`parallel_map` call needs a
+    different worker count or fails; exposed for tests and long-lived
+    hosts that want to reclaim the workers early.
     """
     global _pool, _pool_workers
     if _pool is not None:
-        _pool.terminate()
-        _pool.join()
-        _pool = None
-        _pool_workers = 0
+        pool, _pool, _pool_workers = _pool, None, 0
+        _stop(pool)
 
 
 def _persistent_pool(workers: int):
@@ -163,119 +235,10 @@ def _persistent_pool(workers: int):
     if _pool is not None and _pool_workers != workers:
         shutdown_pool()
     if _pool is None:
-        context = multiprocessing.get_context("fork")
-        # Workers run with default interpreter state regardless of what
-        # the parent was doing at fork time (run_fleet forks from inside
-        # its GC pause; per-drain pauses in the worker still apply).
-        _pool = context.Pool(processes=workers, initializer=_worker_init)
+        _pool = _new_executor(workers)
         _pool_workers = workers
         atexit.register(shutdown_pool)
     return _pool
-
-
-def _worker_init() -> None:
-    import gc
-
-    gc.enable()
-
-
-class _SharedBatchRef(NamedTuple):
-    """Descriptor for a :class:`RequestBatch` parked in shared memory.
-
-    ``spans`` holds one ``(dtype_str, offset, length)`` triple per column,
-    in :data:`_BATCH_COLUMNS` order, all inside the single segment
-    ``name`` — the only thing the task queue carries for a batch.
-    """
-
-    name: str
-    rows: int
-    spans: Tuple[Tuple[str, int, int], ...]
-
-
-_BATCH_COLUMNS = ("arrival", "lbn", "sectors", "is_write", "rid")
-
-
-def _export_batch(batch, segments: list):
-    """Copy ``batch``'s columns into one shared-memory segment.
-
-    Returns the :class:`_SharedBatchRef` to enqueue in the batch's place,
-    or the batch itself when shared memory is unavailable (tiny or absent
-    ``/dev/shm``) — the queue then falls back to pickling it, which is
-    slower but identical in behavior.
-    """
-    from multiprocessing import shared_memory
-
-    columns = [getattr(batch, column) for column in _BATCH_COLUMNS]
-    total = sum(array.nbytes for array in columns)
-    try:
-        segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    except OSError:  # pragma: no cover - exotic /dev/shm configurations
-        return batch
-    segments.append(segment)
-    spans = []
-    offset = 0
-    for array in columns:
-        end = offset + array.nbytes
-        segment.buf[offset:end] = array.tobytes()
-        spans.append((array.dtype.str, offset, len(array)))
-        offset = end
-    return _SharedBatchRef(segment.name, len(batch), tuple(spans))
-
-
-def _attach_batch(ref: _SharedBatchRef):
-    """Rebuild a :class:`RequestBatch` from a worker-side attachment.
-
-    The columns are copies out of the segment (``RequestBatch`` owns its
-    arrays; the parent unlinks the segment as soon as the map returns), so
-    the attachment itself is closed before returning.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.nputil import get_numpy
-    from repro.sim.batch import RequestBatch
-
-    np = get_numpy()
-    segment = shared_memory.SharedMemory(name=ref.name)
-    try:
-        # The parent owns the segment's lifetime and unlinks it after the
-        # map returns; deregister this attachment so the shared resource
-        # tracker does not double-count the name (bpo-39959).
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals moved
-            pass
-        columns = {}
-        for column, (dtype, offset, length) in zip(_BATCH_COLUMNS, ref.spans):
-            view = np.frombuffer(
-                segment.buf, dtype=dtype, count=length, offset=offset
-            )
-            columns[column] = view.copy()
-            del view
-        return RequestBatch(**columns)
-    finally:
-        segment.close()
-
-
-def _export_task(task: Tuple, segments: list) -> Tuple:
-    """Replace any batch arguments with shared-memory descriptors."""
-    from repro.sim.batch import RequestBatch
-
-    return tuple(
-        _export_batch(arg, segments) if isinstance(arg, RequestBatch) else arg
-        for arg in task
-    )
-
-
-def _run_pickled(payload: Tuple) -> object:
-    """Persistent-pool worker body: re-attach batches, run the function."""
-    fn, task = payload
-    task = tuple(
-        _attach_batch(arg) if isinstance(arg, _SharedBatchRef) else arg
-        for arg in task
-    )
-    return fn(*task)
 
 
 # -- the pool map ------------------------------------------------------------- #
@@ -310,8 +273,8 @@ def parallel_map(
     list order always matches ``tasks``.
 
     A picklable ``point_fn`` (any module-level function) runs on the
-    persistent pool with batch columns handed over through shared memory;
-    closures fork a transient pool per call (see the module docstring).
+    persistent pool; closures fork a transient pool per call (see the
+    module docstring).
     Both paths compute exactly what the sequential loop would.
 
     The worker count is additionally capped at :func:`available_parallelism`:
@@ -325,21 +288,17 @@ def parallel_map(
         return [point_fn(*task) for task in tasks]
     get_numpy()  # before forking, so no worker imports it again
     if _fn_picklable(point_fn):
-        pool = _persistent_pool(workers)
-        segments: list = []
         try:
-            payloads = [
-                (point_fn, _export_task(task, segments)) for task in tasks
-            ]
-            return pool.map(_run_pickled, payloads, chunksize=1)
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
-    context = multiprocessing.get_context("fork")
+            return _map(_persistent_pool(workers), point_fn, tasks)
+        except BaseException:
+            # A dead worker breaks the pool, and a failed or interrupted
+            # map leaves tasks running in it: the next call starts afresh.
+            shutdown_pool()
+            raise
     _POINT_FN = point_fn
+    executor = _new_executor(workers)
     try:
-        with context.Pool(processes=workers) as pool:
-            return pool.map(_run_task, list(tasks), chunksize=1)
+        return _map(executor, _run_task, tasks)
     finally:
         _POINT_FN = None
+        _stop(executor)

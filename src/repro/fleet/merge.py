@@ -4,10 +4,11 @@ Each shard of a fleet run produces an ordinary single-device
 :class:`~repro.sim.statistics.SimulationResult` (and optionally a JSONL
 trace).  This module folds them back into one fleet-level view:
 
-* :func:`merge_results` — the union of all per-request records as a single
-  ``SimulationResult``, sorted by ``(completion_time, rid)``, so every
-  fleet-level metric (mean/percentiles/cv²/throughput) reuses the exact
-  single-device summary code.  ``utilization`` over a merged result is
+* :func:`merge_results` — every shard's completion columns concatenated
+  into a single ``SimulationResult`` and put in ``(completion_time, rid)``
+  order by one lexsort, so every fleet-level metric
+  (mean/percentiles/cv²/throughput) reuses the exact single-device summary
+  code.  ``utilization`` over a merged result is
   *aggregate device-seconds per second* — it approaches the member count,
   not 1.0, on a busy fleet.
 * :class:`FleetResult` — per-member results plus the merged view and the
@@ -37,45 +38,30 @@ from repro.nputil import get_numpy
 from repro.obs.live import LiveSummary, merge_live_summaries
 from repro.obs.tracer import JsonlTracer, iter_trace
 from repro.sim.config import SimConfig
-from repro.sim.statistics import SimulationResult
+from repro.sim.statistics import COLUMNS, SimulationResult
 
 
 def merge_results(results: Sequence[SimulationResult]) -> SimulationResult:
     """Fold per-shard results into one fleet-level ``SimulationResult``.
 
-    Records are interleaved by ``(completion_time, rid)`` — the order a
-    single observer watching the whole fleet would have seen completions —
-    and ``end_time`` is the latest shard end, so ``throughput`` is
-    fleet-wide completions per second of simulated time.
+    Completions are interleaved by ``(completion_time, rid)`` — the order a
+    single observer watching the whole fleet would have seen them — with
+    one stable lexsort over the concatenated columns, and ``end_time`` is
+    the latest shard end, so ``throughput`` is fleet-wide completions per
+    second of simulated time.
     """
-    records = [record for result in results for record in result.records]
-    if len(records) > 2048:
-        # Fleet-scale merges sort via numpy: two attribute-extraction
-        # passes plus an O(N log N) C-typed lexsort beat the list sort's
-        # per-comparison Python tuple keys by an order of magnitude at a
-        # million records.  Request ids are unique, so the (time, rid) key
-        # is a total order and the permutation — hence the merged result —
-        # is exactly the one the list sort produces.
-        np = get_numpy()
-        count = len(records)
-        times = np.fromiter(
-            (record.completion_time for record in records),
-            dtype=np.float64,
-            count=count,
-        )
-        rids = np.fromiter(
-            (record.request.request_id for record in records),
-            dtype=np.int64,
-            count=count,
-        )
-        order = np.lexsort((rids, times))
-        records = [records[index] for index in order.tolist()]
-    else:
-        # Small merges stay scalar so numpy remains a fleet-scale-only
-        # import (see repro.nputil).
-        records.sort(key=lambda r: (r.completion_time, r.request.request_id))
-    end_time = max((result.end_time for result in results), default=0.0)
-    return SimulationResult(records=records, end_time=end_time)
+    if not results:
+        return SimulationResult()
+    np = get_numpy()
+    columns = {
+        name: np.concatenate([result.columns[name] for result in results])
+        for name, _ in COLUMNS
+    }
+    order = np.lexsort((columns["rid"], columns["completion"]))
+    return SimulationResult(
+        {name: column[order] for name, column in columns.items()},
+        end_time=max(result.end_time for result in results),
+    )
 
 
 @dataclass
@@ -97,7 +83,7 @@ class FleetResult:
     live: Optional[List[Optional[LiveSummary]]] = None
 
     def __len__(self) -> int:
-        return len(self.combined.records)
+        return len(self.combined)
 
     def member_label(self, index: int) -> str:
         config = self.member_configs[index]

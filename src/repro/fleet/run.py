@@ -116,18 +116,13 @@ def run_fleet(config: FleetConfig, jobs: Optional[int] = None) -> FleetResult:
     """Shard, execute, and merge one fleet run (see module docstring).
 
     Generational GC is paused for the whole run, extending the engine's
-    per-drain pause (see :meth:`Simulation.run`) across the gaps between
-    member drains and the merge: by the later members, millions of
-    acyclic record tuples are live, and every gen-2 collection triggered
-    by ordinary allocation churn rescans all of them — measured at ~40%
-    of fleet wall time at 16x1M scale.  Nothing the fleet allocates forms
-    reference cycles, so reference counting reclaims everything either
-    way; the caller's GC setting is restored on exit, and forked workers
-    inherit the pause for their own drains.
+    per-drain pause (see :meth:`Simulation.run`) across sharding, the
+    gaps between member drains and the merge.  Nothing the fleet
+    allocates forms reference cycles, so reference counting reclaims
+    everything either way; the caller's GC setting is restored on exit.
     """
     gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
+    gc.disable()
     try:
         return _run_fleet(config, jobs=jobs)
     finally:

@@ -46,30 +46,12 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, percentile
 from repro.obs.spans import SpanBuilder, SpanSummary
 from repro.obs.tracer import iter_trace
 
 DEFAULT_BUCKET_S = 0.1
 """Default time-series bucket width (100 ms of simulated time)."""
-
-
-def _percentile(ordered: Sequence[float], pct: float) -> float:
-    """Linear-interpolated percentile of an already-sorted sequence.
-
-    Same interpolation as ``SimulationResult.response_time_percentile``.
-    """
-    if not ordered:
-        raise ValueError("no values")
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac
 
 
 @dataclass
@@ -155,7 +137,7 @@ class TimeSeriesBuilder:
         responses = sorted(self._open_responses)
         self._response_stats[self._open_bucket] = (
             math.fsum(responses) / len(responses),
-            _percentile(responses, 95.0),
+            percentile(responses, 95.0),
         )
         self._open_responses = []
 

@@ -49,6 +49,27 @@ ACCESS_PHASES = (
 )
 
 
+def percentile(ordered: Sequence[float], pct: float) -> float:
+    """Linear-interpolated percentile of sorted values (0 < pct <= 100).
+
+    The package's one percentile convention: ``SimulationResult``,
+    :class:`Histogram` and the trace analysis all interpolate here.
+    """
+    if not 0 < pct <= 100:
+        raise ValueError(f"percentile out of range: {pct}")
+    if not ordered:
+        raise ValueError("no values")
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (pct / 100.0) * (len(ordered) - 1)
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1 - frac) + ordered[hi] * frac
+
+
 class Counter:
     """A monotonically-increasing total (float, so it can carry seconds)."""
 
@@ -67,7 +88,7 @@ class Counter:
 class Histogram:
     """Reservoir-sampled value distribution with exact count/sum/min/max.
 
-    Percentiles use the same linear interpolation as
+    Percentiles use :func:`percentile`, like
     ``SimulationResult.response_time_percentile``, so the two agree exactly
     while the sample count is within the reservoir.
     """
@@ -127,20 +148,9 @@ class Histogram:
 
     def percentile(self, pct: float) -> float:
         """Linear-interpolated percentile (0 < pct <= 100)."""
-        if not 0 < pct <= 100:
-            raise ValueError(f"percentile out of range: {pct}")
         if not self._reservoir:
             raise ValueError(f"histogram {self.name}: no samples")
-        ordered = sorted(self._reservoir)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (pct / 100.0) * (len(ordered) - 1)
-        lo = math.floor(rank)
-        hi = math.ceil(rank)
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
+        return percentile(sorted(self._reservoir), pct)
 
     def percentiles(self, *pcts: float) -> Dict[str, float]:
         return {f"p{pct:g}": self.percentile(pct) for pct in pcts}
@@ -195,35 +205,32 @@ class MetricsRegistry:
         result: "SimulationResult",
         reservoir: Optional[int] = None,
     ) -> "MetricsRegistry":
-        """Fold a completed run's records into a registry.
+        """Fold a completed run's columns into a registry.
 
-        The reservoir defaults to the record count, so percentiles from the
-        returned registry always match ``result.percentiles`` exactly.
+        The reservoir defaults to the completion count, so percentiles from
+        the returned registry always match ``result.percentiles`` exactly.
+        Every histogram and counter sees its values in completion order.
         """
-        records = result.records
+        count = len(result)
         registry = cls(
-            reservoir=reservoir
-            if reservoir is not None
-            else max(1, len(records))
+            reservoir=reservoir if reservoir is not None else max(1, count)
         )
-        registry.counter("requests").inc(len(records))
-        response = registry.histogram("response_time_s")
-        queue = registry.histogram("queue_time_s")
-        service = registry.histogram("service_time_s")
-        phase_totals = {
-            phase: registry.counter(f"phase.{phase}_s")
-            for phase in ACCESS_PHASES
-        }
-        for record in records:
-            response.observe(record.response_time)
-            queue.observe(record.queue_time)
-            service.observe(record.service_time)
-            access = record.access
-            for phase, counter in phase_totals.items():
-                counter.inc(getattr(access, phase))
+        registry.counter("requests").inc(count)
+        for name, values in (
+            ("response_time_s", result.response_times),
+            ("queue_time_s", result.queue_times),
+            ("service_time_s", result.service_times),
+        ):
+            observe = registry.histogram(name).observe
+            for value in values:
+                observe(value)
+        for phase in ACCESS_PHASES:
+            inc = registry.counter(f"phase.{phase}_s").inc
+            for value in result.columns[phase].tolist():
+                inc(value)
         if result.end_time > 0:
             registry.set_gauge("end_time_s", result.end_time)
-            if records:
+            if count:
                 registry.set_gauge("throughput_rps", result.throughput)
                 registry.set_gauge("utilization", result.utilization)
         return registry

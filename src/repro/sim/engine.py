@@ -25,11 +25,12 @@ The main entry point is :class:`Simulation`:
 from __future__ import annotations
 
 import gc
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
+from repro.nputil import get_numpy
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.batch import RequestBatch
-from repro.sim.request import IOKind, Request, RequestRecord
+from repro.sim.request import AccessResult, IOKind, Request
 from repro.sim.device import StorageDevice
 from repro.sim.statistics import SimulationResult
 
@@ -68,7 +69,6 @@ class Simulation:
         device.tracer = self.tracer
         scheduler.tracer = self.tracer
         self.now = 0.0
-        self._records: List[RequestRecord] = []
 
     @classmethod
     def from_config(
@@ -103,7 +103,8 @@ class Simulation:
         :class:`~repro.sim.batch.RequestBatch` first; the batch is then
         bounds-checked in one array pass, put in ``(arrival_time,
         request_id)`` order when it is not already, and materialized as
-        ``Request`` objects in that order for the drain loop.
+        ``Request`` objects in that order for the drain loop.  The drain's
+        completions become the result's columns in one pass at the end.
         """
         batch = (
             requests
@@ -134,57 +135,67 @@ class Simulation:
         ]
 
         self.now = 0.0
-        self._records = []
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(
                 {"kind": "sim.start", "t": 0.0, "requests": len(arrivals)}
             )
 
-        # The drain allocates one record + a few tuples per request and
-        # none of them form reference cycles (frozen dataclasses, plain
-        # tuples), so everything is reclaimed by reference counting alone.
-        # Generational GC scans, whose cost grows with the live heap, are
-        # pure overhead here — measured at 2-4x the total runtime on
-        # fleet-scale streams — so collection is paused for the drain and
-        # the caller's setting restored after.
+        # The drain allocates a few tuples per request (the materialized
+        # request, the device's AccessResult) and none of them form
+        # reference cycles, so everything is reclaimed by reference
+        # counting alone.  Generational GC scans, whose cost grows with the
+        # live heap, are pure overhead here — measured at 2-4x the total
+        # runtime on fleet-scale streams — so collection is paused for the
+        # drain and the caller's setting restored after.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            self._drain(arrivals)
+            done, dispatch, accesses = self._drain(arrivals)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
         if tracer.enabled:
             tracer.emit(
-                {
-                    "kind": "sim.end",
-                    "t": self.now,
-                    "completed": len(self._records),
-                }
+                {"kind": "sim.end", "t": self.now, "completed": len(done)}
             )
-        return SimulationResult(records=self._records, end_time=self.now)
+        return SimulationResult(
+            _completion_columns(done, dispatch, accesses), end_time=self.now
+        )
 
     # ------------------------------------------------------------------ #
 
-    def _drain(self, arrivals: List[Request]) -> None:
+    def _drain(
+        self, arrivals: List[Request]
+    ) -> Tuple[List[Request], List[float], List[AccessResult]]:
         """Move every arrival through queue, dispatch and completion.
 
         The device services one request at a time, so at most one
-        completion is ever outstanding: it lives in a single pending slot
-        (``busy`` says whether the slot is full), merged against a cursor
-        over the arrival-sorted ``arrivals`` with one comparison per
-        event.  On a tie the completion goes first, so a request arriving
-        at the exact instant the device frees up finds the queue already
-        advanced (DiskSim's order).
+        completion is ever outstanding: the ``current`` request, its
+        dispatch time, access and completion time (``busy`` says whether
+        there is one), merged against a cursor over the arrival-sorted
+        ``arrivals`` with one comparison per event.  On a tie the
+        completion goes first, so a request arriving at the exact instant
+        the device frees up finds the queue already advanced (DiskSim's
+        order).
+
+        Returns the completed requests, dispatch times and AccessResults
+        in completion order: a completion appends objects the loop already
+        holds and allocates nothing of its own.
 
         With an enabled tracer the loop emits ``sim.arrival`` (queue depth
         after the add), ``sim.dispatch`` (depth before the pick) and
         ``sim.complete``; each emission site is one branch when tracing is
         off.
         """
+        done: List[Request] = []
+        dispatch: List[float] = []
+        accesses: List[AccessResult] = []
+        done_append = done.append
+        dispatch_append = dispatch.append
+        access_append = accesses.append
         count = len(arrivals)
         index = 0
         scheduler = self.scheduler
@@ -192,27 +203,27 @@ class Simulation:
         pop_next = scheduler.pop_next
         pending = scheduler._pending_sized()
         service = self.device.service
-        records_append = self._records.append
         max_depth = self.max_queue_depth
         tracer = self.tracer
         tracing = tracer.enabled
         emit = tracer.emit
         now = 0.0
         busy = False
-        pending_record = None
-        pending_time = 0.0
+        current = current_access = None
+        dispatched = completion = 0.0
         try:
             while True:
                 if busy and not (
-                    index < count and arrivals[index][0] < pending_time
+                    index < count and arrivals[index][0] < completion
                 ):
                     # The outstanding completion is the next event.
-                    if pending_time > now:
-                        now = pending_time
-                    records_append(pending_record)
+                    if completion > now:
+                        now = completion
+                    done_append(current)
+                    dispatch_append(dispatched)
+                    access_append(current_access)
                     if tracing:
-                        emit(_complete_event(now, pending_record))
-                    pending_record = None
+                        emit(_complete_event(now, current, dispatched, completion))
                     busy = False
                     if not pending:
                         continue
@@ -244,52 +255,60 @@ class Simulation:
                         continue
                 else:
                     break
-                while True:
-                    if tracing:
-                        depth = len(pending)
-                    request = pop_next(now)
-                    access = service(request, now)
-                    completion_time = now + access.total
-                    record = RequestRecord(
-                        request, now, completion_time, access
+                # The device is free and the queue is not empty: dispatch.
+                if tracing:
+                    depth = len(pending)
+                current = pop_next(now)
+                current_access = service(current, now)
+                dispatched = now
+                completion = now + current_access.total
+                busy = True
+                if tracing:
+                    emit(
+                        {
+                            "kind": "sim.dispatch",
+                            "t": now,
+                            "rid": current.request_id,
+                            "wait": now - current.arrival_time,
+                            "queue_depth": depth,
+                        }
                     )
-                    if tracing:
-                        emit(
-                            {
-                                "kind": "sim.dispatch",
-                                "t": now,
-                                "rid": request.request_id,
-                                "wait": now - request.arrival_time,
-                                "queue_depth": depth,
-                            }
-                        )
-                    if index < count and arrivals[index][0] < completion_time:
-                        busy = True
-                        pending_record = record
-                        pending_time = completion_time
-                        break
-                    # The completion sorts before every remaining arrival:
-                    # handle it now.
-                    if completion_time > now:
-                        now = completion_time
-                    records_append(record)
-                    if tracing:
-                        emit(_complete_event(now, record))
-                    if not pending:
-                        break
         finally:
             self.now = now
+        return done, dispatch, accesses
 
 
-def _complete_event(now: float, record: RequestRecord) -> dict:
+def _completion_columns(
+    done: List[Request], dispatch: List[float], accesses: List[AccessResult]
+) -> Optional[dict]:
+    """The drain's completions as :class:`SimulationResult` columns, built
+    in bulk (``None`` when nothing completed).  ``completion`` is ``dispatch
+    + total`` in float64: the addition the drain made per request."""
+    if not done:
+        return None
+    np = get_numpy()
+    columns = dict(zip(("arrival", "lbn", "sectors", "kind", "rid"), zip(*done)))
+    columns["is_write"] = [kind is IOKind.WRITE for kind in columns.pop("kind")]
+    columns.update(zip(AccessResult._fields, zip(*accesses)))
+    columns["dispatch"] = np.array(dispatch, dtype=np.float64)
+    columns["completion"] = columns["dispatch"] + np.array(
+        columns["total"], dtype=np.float64
+    )
+    return columns
+
+
+def _complete_event(
+    now: float, request: Request, dispatch: float, completion: float
+) -> dict:
     return {
         "kind": "sim.complete",
         "t": now,
-        "rid": record.request.request_id,
-        "queue": record.queue_time,
-        "service": record.service_time,
-        "response": record.response_time,
+        "rid": request.request_id,
+        "queue": dispatch - request.arrival_time,
+        "service": completion - dispatch,
+        "response": completion - request.arrival_time,
     }
+
 
 class QueueOverflowError(RuntimeError):
     """Raised when the pending queue exceeds ``max_queue_depth``."""

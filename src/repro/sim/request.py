@@ -4,7 +4,7 @@ A :class:`Request` is the unit of work flowing through the simulator: it is
 created by a workload generator (or trace replayer), queued at the driver,
 scheduled, and finally serviced by a device model.  The device reports how the
 service time decomposed into mechanical phases via :class:`AccessResult`, and
-the driver records the full lifecycle in a :class:`RequestRecord`.
+a :class:`RequestRecord` views one completed request's full lifecycle.
 
 Sizes are expressed in 512-byte logical sectors throughout, matching the
 paper's devices (both the MEMS device and the Atlas 10K use 512-byte sectors).
@@ -154,10 +154,10 @@ AccessResult.__new__ = _access_result_new  # type: ignore[method-assign]
 class RequestRecord(NamedTuple):
     """Full lifecycle of one request, filled in by the driver.
 
-    A NamedTuple like :class:`Request` and :class:`AccessResult`: the
-    engine builds exactly one per completed request and never mutates it
-    afterwards, so the record is write-once by construction and tuple
-    construction keeps it off the hot path's profile.
+    A NamedTuple like :class:`Request` and :class:`AccessResult`.  The
+    engine keeps completions as columns; this is the row view that
+    :attr:`SimulationResult.records
+    <repro.sim.statistics.SimulationResult.records>` builds from them.
     """
 
     request: Request

@@ -124,8 +124,8 @@ class TestReproJobsEnvironment:
 
 class TestPersistentPool:
     """Module-level work functions ride a long-lived pool that is reused
-    across ``parallel_map`` calls, with batch columns handed over through
-    shared memory — both invisible in the results."""
+    across ``parallel_map`` calls, with batches pickled to the workers —
+    both invisible in the results."""
 
     @pytest.fixture(autouse=True)
     def _fresh_pool(self, monkeypatch):
@@ -171,7 +171,7 @@ class TestPersistentPool:
         assert result == [x + 7 for x in range(6)]
         assert parallel_module._pool is None  # never touched
 
-    def test_batch_crosses_via_shared_memory(self):
+    def test_batch_crosses_the_process_boundary(self):
         from repro.sim.batch import RequestBatch
         from repro.workloads.synthetic import RandomWorkload
 
@@ -183,7 +183,7 @@ class TestPersistentPool:
         tasks = [(batch,) for batch in batches]
         parallel = parallel_map(_batch_checksum, tasks, jobs=2)
         assert [(value,) for value in parallel] == expected
-        # The parent-side batches are untouched and segments are gone.
+        # The parent-side batches are untouched.
         assert all(isinstance(batch, RequestBatch) for batch in batches)
 
     def test_shutdown_is_idempotent(self):

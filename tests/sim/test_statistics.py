@@ -11,6 +11,7 @@ from repro.sim import (
     SimulationResult,
     squared_coefficient_of_variation,
 )
+from tests.sim.result_reference import columnar
 
 
 def make_result(response_times):
@@ -27,7 +28,7 @@ def make_result(response_times):
             )
         )
     end = max(r.completion_time for r in records) if records else 0.0
-    return SimulationResult(records=records, end_time=end)
+    return columnar(records, end)
 
 
 class TestResponseTimeStats:
@@ -122,7 +123,7 @@ class TestPhaseBreakdown:
                     ),
                 )
             )
-        result = SimulationResult(records=records, end_time=1.0)
+        result = columnar(records, 1.0)
         breakdown = result.mean_phase_breakdown()
         assert breakdown["seek_x"] == pytest.approx(0.2)
         assert breakdown["transfer"] == pytest.approx(0.5)
