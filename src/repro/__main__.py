@@ -115,7 +115,6 @@ def _print_live_summary(summary, indent: str = "  ") -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    tracer = None
     try:
         slos = _parse_slo_flags(args.slo)
         if args.config is not None:
@@ -146,13 +145,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 live_window=args.live_window,
                 slos=slos,
             )
-        if config.live_enabled:
-            # Hold the tracer ourselves so the aggregator's summary
-            # survives the run.
-            tracer = config.build_tracer()
-            trimmed = config.run(tracer=tracer)
-        else:
-            trimmed = config.run()
+        trimmed, summary = config.run_live()
     except QueueOverflowError:
         print(f"saturated: queue exceeded {config.max_queue_depth:,} pending "
               f"requests at {config.rate:g} req/s")
@@ -168,9 +161,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
-    finally:
-        if tracer is not None:
-            tracer.close()
     if not len(trimmed):
         cause = (
             f"warmup {config.warmup} drops all {config.num_requests} requests"
@@ -194,8 +184,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print()
         metrics = MetricsRegistry.from_result(trimmed)
         print(metrics.render_text(title="metrics"))
-    if tracer is not None:
-        summary = tracer.summary()
+    if summary is not None:
         print()
         print(f"live observability (window {summary.window_s:g}s, "
               f"{summary.windows} windows, warmup included):")
@@ -387,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="run under the live observability engine with this tumbling "
-        "window (simulated seconds); obs.window events land in the trace "
-        "and sketch percentiles are printed after the run",
+        help="fold the run into tumbling windows of this width (simulated "
+        "seconds); obs.window events land in the trace and sketch "
+        "percentiles are printed after the run",
     )
     simulate.add_argument(
         "--slo",
@@ -467,9 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="run every member under the live observability engine with "
-        "this tumbling window (simulated seconds); per-member sketches "
-        "merge deterministically into the fleet summary",
+        help="fold every member into tumbling windows of this width "
+        "(simulated seconds); per-member sketches merge deterministically "
+        "into the fleet summary",
     )
     fleet.add_argument(
         "--slo",

@@ -182,14 +182,16 @@ def _stop(executor) -> None:
     A worker killed halfway through a message would leave the executor
     blocked on the rest of it (a result, or a task larger than the pipe
     buffer); closing the parent's copies of those pipe ends turns both
-    into end of file or a broken pipe, which the executor handles.
+    into end of file or a broken pipe, which the executor handles.  A
+    broken executor's manager thread closes the call queue itself, racing
+    a close from here, so they close first and only on a working one.
     """
     processes = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
-        process.terminate()
-    if processes:
+    if processes and not executor._broken:
         executor._result_queue._writer.close()
         executor._call_queue._reader.close()
+    for process in list(processes.values()):
+        process.terminate()
     executor.shutdown(wait=True, cancel_futures=True)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, TYPE_CHECKING
 
 from repro.fleet.routing import Router, make_router
-from repro.obs.live import SLOSpec
+from repro.obs.live import SLOSpec, check_width
 from repro.sim.config import SimConfig, check_config_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,17 +57,17 @@ class FleetConfig:
             trace here — per-shard events tagged with their ``member``
             index, interleaved in time order with ``fleet.route`` events —
             gzip-compressed when the path ends in ``.gz``.
-        live_window: When set, every member runs under a
-            :class:`~repro.obs.live.LiveAggregator` with this tumbling
-            window (simulated seconds); per-member quantile sketches and
-            windowed metrics come back in the
+        live_window: When set (finite, > 0), every member's worker folds
+            its completion columns into tumbling windows of this width
+            (:class:`~repro.obs.live.LiveAggregator`); per-member sketches
+            and windowed metrics come back in the
             :class:`~repro.fleet.merge.FleetResult`, merged
             bit-identically for any ``jobs``.  Setting :attr:`slos`
             implies live aggregation with the default window.
         slos: Fleet-wide per-class latency objectives
-            (:class:`~repro.obs.live.SLOSpec`), tracked online by every
-            member; ``slo.violation`` events land in the merged trace and
-            per-member compliance in the fleet result and report.
+            (:class:`~repro.obs.live.SLOSpec`), evaluated by every
+            member's fold; ``slo.violation`` events land in the merged
+            trace and per-member compliance in the fleet result and report.
         router_params: Extra keyword arguments for the router factory
             (e.g. ``{"chunk_sectors": 64}`` for ``hash``).
         workload_params: Extra keyword arguments for the workload builder.
@@ -107,10 +107,8 @@ class FleetConfig:
             raise ValueError(f"negative num_requests: {self.num_requests}")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1: {self.jobs}")
-        if self.live_window is not None and self.live_window <= 0:
-            raise ValueError(
-                f"live_window must be positive: {self.live_window}"
-            )
+        if self.live_window is not None:
+            check_width("live_window", self.live_window)
         slos = tuple(self.slos)
         object.__setattr__(self, "slos", slos)
         for index, spec in enumerate(slos):

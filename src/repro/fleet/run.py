@@ -44,72 +44,41 @@ from repro.fleet.merge import (
     remove_shard_traces,
     shard_trace_path,
 )
-from repro.obs.live import (
-    DEFAULT_WINDOW_S,
-    LiveAggregator,
-    LiveSummary,
-    SLOSpec,
-)
-from repro.obs.tracer import JsonlTracer
+from repro.obs.live import LiveSummary, stream_path
 from repro.sim.batch import RequestBatch
 from repro.sim.config import SimConfig
 from repro.sim.statistics import SimulationResult
 
-LiveSpec = Tuple[float, Tuple[SLOSpec, ...]]
-"""Per-member live-aggregation knobs: ``(window_s, slos)``."""
 
-
-def _member_live_spec(
-    config: FleetConfig, member: SimConfig
-) -> Optional[LiveSpec]:
-    """The live-aggregation spec a member runs under (``None`` = off).
+def _member_config(
+    config: FleetConfig, member: SimConfig, trace_path: Optional[str]
+) -> SimConfig:
+    """The config one member runs: its substrate, its shard trace, and the
+    live aggregation it runs under.
 
     Fleet-level ``live_window``/``slos`` apply uniformly to every member
     and take precedence; otherwise a member's own live fields (set on its
     :class:`SimConfig`) enable tracking for that member alone.
     """
     if config.live_enabled:
-        return (config.live_window or DEFAULT_WINDOW_S, config.slos)
-    if member.live_enabled:
-        return (member.live_window or DEFAULT_WINDOW_S, member.slos)
-    return None
+        member = member.replace(live_window=config.live_window, slos=config.slos)
+    return member.replace(trace_path=trace_path, trace_sample=None)
 
 
 def _run_member(
-    member: SimConfig,
-    requests: RequestBatch,
-    trace_path: Optional[str],
-    live: Optional[LiveSpec],
+    member: SimConfig, requests: RequestBatch
 ) -> Tuple[SimulationResult, Optional[LiveSummary]]:
     """Run one member's shard to completion (the worker-process body).
 
-    The member config supplies the device/scheduler substrate; the request
-    stream is the member's :class:`~repro.sim.batch.RequestBatch` from the
-    fleet front-end, never the member's workload fields.  Mirrors
-    :meth:`SimConfig.run`'s tracer ownership and warmup handling so a
-    1-member fleet matches the single-device path exactly.
-
-    When ``live`` is set the member runs under a
-    :class:`~repro.obs.live.LiveAggregator` wrapped around its shard sink
-    (or a null sink for summary-only runs) and the picklable
-    :class:`~repro.obs.live.LiveSummary` rides back with the result.  The
-    summary covers the *full* shard stream including warmup completions —
-    sketches are streaming state and cannot retroactively drop the prefix.
+    ``member`` (from :func:`_member_config`) supplies the substrate; the
+    stream is the member's shard from the fleet front-end.  This is
+    :meth:`SimConfig.run_live`, so a 1-member fleet matches the
+    single-device path exactly.  With live aggregation on, the member's
+    :class:`~repro.obs.live.LiveSummary` (whole shard, warmup included)
+    rides back with the result, and a traced member's window events are
+    spliced into its shard trace here, before the parent merges them.
     """
-    sink = JsonlTracer(trace_path) if trace_path is not None else None
-    aggregator: Optional[LiveAggregator] = None
-    if live is not None:
-        window_s, slos = live
-        aggregator = LiveAggregator(sink, window_s=window_s, slos=slos)
-    tracer = aggregator if aggregator is not None else sink
-    try:
-        simulation = member.build_simulation(tracer=tracer)
-        result = simulation.run(requests)
-    finally:
-        if tracer is not None:
-            tracer.close()
-    summary = aggregator.summary() if aggregator is not None else None
-    return result.drop_warmup(member.warmup), summary
+    return member.run_live(requests)
 
 
 def run_fleet(config: FleetConfig, jobs: Optional[int] = None) -> FleetResult:
@@ -147,10 +116,8 @@ def _run_fleet(config: FleetConfig, jobs: Optional[int]) -> FleetResult:
 
     tasks = [
         (
-            member,
+            _member_config(config, member, shard_paths[index]),
             plan.member_requests[index],
-            shard_paths[index],
-            _member_live_spec(config, member),
         )
         for index, member in enumerate(config.members)
     ]
@@ -160,7 +127,9 @@ def _run_fleet(config: FleetConfig, jobs: Optional[int]) -> FleetResult:
         outcomes = parallel_map(_run_member, tasks, jobs=jobs)
     except BaseException:
         if tracing:
-            remove_shard_traces([p for p in shard_paths if p is not None])
+            # A killed worker can leave its live stream file behind too.
+            paths = [p for p in shard_paths if p is not None]
+            remove_shard_traces(paths + [stream_path(p) for p in paths])
         raise
     results = [result for result, _ in outcomes]
     summaries = [summary for _, summary in outcomes]

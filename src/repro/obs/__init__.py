@@ -5,10 +5,11 @@ Event tracing (:mod:`repro.obs.tracer`), metrics aggregation
 (:mod:`repro.obs.spans`), streaming time-series and reports
 (:mod:`repro.obs.analyze`, :mod:`repro.obs.report`) — over
 :class:`~repro.sim.Simulation`, both device models, and the schedulers.
-The *live* layer runs inside the simulation instead of over a finished
-trace: mergeable quantile sketches (:mod:`repro.obs.sketch`), tumbling
-windowed metrics and SLO/burn-rate tracking (:mod:`repro.obs.live`), and
-a near-zero-overhead self-profiler (:mod:`repro.obs.prof`).
+The *live* layer describes a run per window of simulated time without
+needing a trace: tumbling windowed metrics and SLO/burn-rate tracking
+(:mod:`repro.obs.live`), folded once from the finished run's completion
+columns into mergeable quantile sketches (:mod:`repro.obs.sketch`), and a
+near-zero-overhead self-profiler (:mod:`repro.obs.prof`).
 The default :data:`NULL_TRACER` short-circuits every emission site, so an
 untraced simulation pays one branch per site (measured in
 ``benchmarks/bench_hotpath.py``).

@@ -1,52 +1,71 @@
-"""Live observability: windowed metrics and SLO tracking *inside* the run.
+"""Live observability: windowed metrics, quantile sketches and SLO burn.
 
-Everything else in :mod:`repro.obs` is forensic — spans, time-series, and
-reports are computed from a finished trace.  :class:`LiveAggregator` is the
-operational counterpart: a :class:`~repro.obs.tracer.Tracer` that sits
-between the simulation and its real sink, folds the event stream into
-tumbling windows and per-class quantile sketches *as the simulation runs*,
-and emits two event kinds of its own into the same trace:
+The live layer describes a run per tumbling window of simulated time, and
+needs no trace to do so: every input — arrival, dispatch and completion
+times, service time, read/write — is a column of the finished
+:class:`~repro.sim.statistics.SimulationResult`.  :class:`LiveAggregator`
+folds those columns once, after an untraced drain.
+:meth:`~LiveAggregator.summary` yields the :class:`LiveSummary` (per-class
+quantile sketches, the closed-window count, per-SLO stats) at a cost that
+does not grow with the window count; for traced runs,
+:meth:`~LiveAggregator.events` yields the two event kinds below, which
+:func:`splice_trace` interleaves into the trace at their boundary times.
 
 ``obs.window``
-    One per elapsed aggregation window (simulated time): completion and
-    arrival counts, throughput, device utilization, and the time-averaged
-    queue depth over ``[start, end)``.
+    One per closed window ``[start, end)``: completion and arrival counts,
+    throughput, device utilization, and the time-averaged queue depth.
 ``slo.violation``
-    One per SLO evaluation window whose observed objective-quantile
-    latency exceeded the threshold, carrying the observed quantile and the
-    short- and long-window burn rates.
+    One per SLO window whose observed objective-quantile latency exceeded
+    the threshold, with the short- and long-window burn rates.
 
-Both are emitted at their window-boundary time *before* the event that
-crossed the boundary is forwarded, so the trace stays time-ordered and the
-schema validator's monotonicity check holds.
+An arrival or completion at time ``t`` belongs to window ``k``, the first
+whose boundary ``(k + 1) * W`` (that float product) is ``>= t``.  Every
+window whose boundary is ``<= end_time`` closes, empty ones included; the
+final partial window closes only if it saw traffic (an SLO window: a
+completion of its class).  An access's busy time is spread across the
+windows it overlaps.  The **burn rate** of an :class:`SLOSpec` is
+``bad_fraction / (1 - objective)`` — 1.0 consumes the error budget exactly,
+10.0 ten times too fast — over one window and over the trailing
+``long_windows`` (page on fast burn, ticket on slow burn).
 
-SLO semantics (:class:`SLOSpec`): an objective like "99% of ``read``
-requests under 10 ms, evaluated per 0.5 s window".  Per window the
-aggregator computes the objective quantile from a window-local sketch and
-the *bad fraction* (completions over threshold).  The **burn rate** is
-``bad_fraction / (1 - objective)`` — 1.0 means the window consumed exactly
-its error budget, 10.0 means ten times too fast — reported over the
-evaluation window and over the trailing ``long_windows`` windows (the
-multi-window alerting pattern: page on fast burn, ticket on slow burn).
-
-Every quantile estimate comes from :class:`~repro.obs.sketch.QuantileSketch`,
-so per-shard aggregators in a fleet run merge bit-identically for any
-worker count; :class:`LiveSummary` is the picklable end-of-run snapshot the
-fleet runner ships back from fork workers and folds into
-:class:`~repro.fleet.merge.FleetResult`.
+Quantiles come from :class:`~repro.obs.sketch.QuantileSketch`, so the
+per-member :class:`LiveSummary` objects a fleet ships back from its
+workers merge bit-identically for any worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import difflib
+import json
+import math
+import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import compress
+from typing import (
+    Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
+from repro.nputil import get_numpy
 from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import _open_text
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.statistics import SimulationResult
 
 DEFAULT_WINDOW_S = 1.0
 """Default tumbling-window width (simulated seconds)."""
+
+SLO_CLASSES = ("all", "read", "write")
+"""Request classes an :class:`SLOSpec` can track."""
+
+
+def check_width(name: str, value: float) -> float:
+    """``value`` when it is a finite window width > 0; else ``ValueError``."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0: {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -54,8 +73,7 @@ class SLOSpec:
     """One per-class latency objective.
 
     Attributes:
-        cls: Request class to track — ``all``, ``read``, or ``write``
-            (the ``io`` field of ``sim.arrival`` events).
+        cls: Request class to track — ``all``, ``read``, or ``write``.
         objective: Objective quantile in (0, 1), e.g. ``0.99``.
         threshold_s: Latency threshold in seconds the objective quantile
             must stay under.
@@ -71,12 +89,17 @@ class SLOSpec:
     long_windows: int = 12
 
     def __post_init__(self) -> None:
+        if self.cls not in SLO_CLASSES:
+            close = difflib.get_close_matches(str(self.cls), SLO_CLASSES, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise ValueError(
+                f"unknown SLO class {self.cls!r}{hint}; known classes: "
+                f"{', '.join(SLO_CLASSES)}"
+            )
         if not 0 < self.objective < 1:
             raise ValueError(f"objective must be in (0, 1): {self.objective}")
-        if self.threshold_s <= 0:
-            raise ValueError(f"threshold_s must be > 0: {self.threshold_s}")
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be > 0: {self.window_s}")
+        check_width("threshold_s", self.threshold_s)
+        check_width("window_s", self.window_s)
         if self.long_windows < 1:
             raise ValueError(f"long_windows must be >= 1: {self.long_windows}")
 
@@ -135,104 +158,16 @@ def parse_slo(spec: str) -> SLOSpec:
     )
 
 
-class _SLOTracker:
-    """Per-spec tumbling-window state (one instance per :class:`SLOSpec`)."""
-
-    __slots__ = ("spec", "window", "sketch", "count", "bad",
-                 "history", "windows", "violations", "total", "total_bad",
-                 "alpha")
-
-    def __init__(self, spec: SLOSpec, alpha: float) -> None:
-        self.spec = spec
-        self.alpha = alpha
-        self.window = 0
-        self.sketch = QuantileSketch(alpha=alpha)
-        self.count = 0
-        self.bad = 0
-        # (count, bad) per closed window, trailing long_windows entries.
-        self.history: List[Tuple[int, int]] = []
-        self.windows = 0
-        self.violations = 0
-        self.total = 0
-        self.total_bad = 0
-
-    def boundary(self) -> float:
-        """Simulated time at which the current window closes."""
-        return (self.window + 1) * self.spec.window_s
-
-    def observe(self, response: float, index: Optional[int]) -> None:
-        """Fold one completion in. ``index`` is the precomputed
-        :meth:`QuantileSketch.index_of` result for ``response`` — every
-        tracker shares the aggregator's alpha, so the logarithm is paid
-        once per completion across the whole sketch fan-out."""
-        self.sketch.add_with_index(response, index)
-        self.count += 1
-        if response > self.spec.threshold_s:
-            self.bad += 1
-
-    def close_window(self, end: float) -> Optional[dict]:
-        """Close the current window; returns a ``slo.violation`` event or
-        ``None`` when the window met its objective (or saw no traffic)."""
-        spec = self.spec
-        count, bad = self.count, self.bad
-        self.windows += 1
-        self.total += count
-        self.total_bad += bad
-        self.history.append((count, bad))
-        if len(self.history) > spec.long_windows:
-            del self.history[0]
-        event: Optional[dict] = None
-        if count:
-            observed = self.sketch.quantile(spec.objective)
-            budget = 1.0 - spec.objective
-            burn = (bad / count) / budget
-            long_count = sum(entry[0] for entry in self.history)
-            long_bad = sum(entry[1] for entry in self.history)
-            burn_long = (
-                (long_bad / long_count) / budget if long_count else 0.0
-            )
-            if observed is not None and observed > spec.threshold_s:
-                self.violations += 1
-                event = {
-                    "kind": "slo.violation",
-                    "t": end,
-                    "class": spec.cls,
-                    "objective": spec.objective,
-                    "threshold": spec.threshold_s,
-                    "observed": observed,
-                    "burn_rate": burn,
-                    "burn_rate_long": burn_long,
-                    "window": self.window,
-                }
-        self.window += 1
-        self.sketch = QuantileSketch(alpha=self.alpha)
-        self.count = 0
-        self.bad = 0
-        return event
-
-    def stats(self) -> dict:
-        """Cumulative per-spec stats (JSON-ready, merge-friendly)."""
-        budget = 1.0 - self.spec.objective
-        burn = (self.total_bad / self.total) / budget if self.total else 0.0
-        return {
-            "spec": self.spec.to_dict(),
-            "windows": self.windows,
-            "violations": self.violations,
-            "completions": self.total,
-            "bad": self.total_bad,
-            "burn_rate": burn,
-        }
-
-
 @dataclass
 class LiveSummary:
-    """Picklable end-of-run snapshot of a :class:`LiveAggregator`.
+    """Picklable end-of-run snapshot of a run's live observability.
 
-    ``sketches`` maps request class (``all``/``read``/``write``) to the
-    run-level :class:`~repro.obs.sketch.QuantileSketch`; ``slo`` carries
-    one cumulative stats dict per configured :class:`SLOSpec` (see
-    :meth:`_SLOTracker.stats`).  The fleet runner ships one of these back
-    per member and folds them with :func:`merge_live_summaries`.
+    ``sketches`` maps request class (``all`` plus each of ``read``/``write``
+    that completed something) to the run-level
+    :class:`~repro.obs.sketch.QuantileSketch`; ``windows`` counts the
+    closed ``obs.window`` windows; ``slo`` carries one cumulative stats
+    dict per configured :class:`SLOSpec`.  The fleet runner ships one of
+    these back per member and folds them with :func:`merge_live_summaries`.
     """
 
     window_s: float
@@ -318,261 +253,322 @@ def merge_live_summaries(
     )
 
 
-class LiveAggregator(Tracer):
-    """Streaming windowed aggregation over the live event stream.
+def _closed_windows(width: float, end: float) -> int:
+    """How many window boundaries ``(k + 1) * width`` are ``<= end``."""
+    if end <= 0:
+        return 0
+    if end / width >= 2.0**53:
+        # Beyond 2**53 the float products stop telling windows apart.
+        raise ValueError(
+            f"window {width:g}s is too narrow for a run of {end:g}s "
+            f"(more than 2**53 windows)"
+        )
+    count = int(end / width)
+    while count and count * width > end:
+        count -= 1
+    while (count + 1) * width <= end:
+        count += 1
+    return count
 
-    Wraps a downstream sink (the JSONL/sampling chain, or
-    :data:`~repro.obs.tracer.NULL_TRACER` for summary-only runs): every
-    incoming event is forwarded unchanged, and ``obs.window`` /
-    ``slo.violation`` events are interleaved at their window-boundary
-    times.  Wrap *outside* a :class:`~repro.obs.tracer.SamplingTracer` so
-    the aggregator sees the full stream — its own events carry no ``rid``,
-    so the sampler forwards them regardless.
 
-    Per-event cost is a few dict operations plus one logarithm per
-    completion (shared across the class/window sketch fan-out via
-    :meth:`QuantileSketch.index_of`); the benchmark harness pins the
-    overhead at <= 10% of a :class:`~repro.obs.metrics.MetricsTracer` run.
+def _window_of(times, width: float):
+    """Per time ``t``, the first window ``k`` whose boundary ``(k + 1) *
+    width`` is ``>= t``, as a float64 array (exact: ``_closed_windows``
+    has bounded the window count below 2**53)."""
+    np = get_numpy()
+    window = np.floor(times / width)
+    while True:
+        late = (window + 1) * width < times
+        if not late.any():
+            break
+        window += late
+    while True:
+        early = (window > 0) & (window * width >= times)
+        if not early.any():
+            return window
+        window -= early
+
+
+class LiveAggregator:
+    """One windowed fold over a finished run's completion columns.
+
+    ``window_s`` is the ``obs.window`` width, ``slos`` the objectives to
+    evaluate, ``alpha`` every sketch's error bound.  Pass :meth:`summary`
+    and :meth:`events` the *full* result, before warmup rows are dropped.
+    Both reproduce bit for bit what a per-event aggregator watching the
+    trace stream computes (``tests/obs/live_reference.py``): boundaries
+    are ``(k + 1) * window_s`` products, sums run left to right in time
+    order, and bucket indexes come from :meth:`QuantileSketch.index_of`.
     """
 
     def __init__(
         self,
-        downstream: Optional[Tracer] = None,
         window_s: float = DEFAULT_WINDOW_S,
         slos: Sequence[SLOSpec] = (),
         alpha: float = DEFAULT_ALPHA,
     ) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be > 0: {window_s}")
-        self.downstream_tracer = (
-            downstream if downstream is not None else NULL_TRACER
-        )
-        self.window_s = window_s
+        self.window_s = check_width("window_s", window_s)
         self.slos = tuple(slos)
         self.alpha = alpha
-        self._trackers = [_SLOTracker(spec, alpha) for spec in self.slos]
-        # Completion-path routing, resolved once: trackers watching every
-        # class, and the rest keyed by the class they watch.
-        self._all_trackers = tuple(
-            tracker for tracker in self._trackers if tracker.spec.cls == "all"
-        )
-        self._cls_trackers: Dict[str, Tuple[_SLOTracker, ...]] = {}
-        for tracker in self._trackers:
-            cls = tracker.spec.cls
-            if cls != "all":
-                self._cls_trackers[cls] = self._cls_trackers.get(cls, ()) + (
-                    tracker,
-                )
-        # Run-level per-class sketches ("all" plus each io kind seen).
-        self._sketches: Dict[str, QuantileSketch] = {
-            "all": QuantileSketch(alpha=alpha)
-        }
-        self._rid_class: Dict[int, str] = {}
-        # Current obs.window state.
-        self._window = 0
-        self._arrivals = 0
-        self._completions = 0
-        self._response_sum = 0.0
-        self._busy: Dict[int, float] = {}  # window index -> busy seconds
-        self._depth = 0
-        self._depth_t = 0.0
-        self._depth_area = 0.0  # depth-seconds inside the current window
-        self._windows_emitted = 0
-        self._total_completions = 0
-        self._end_t = 0.0
-        self._flushed = False
-        # Hot-path caches: the run-level "all" sketch (looked up once, not
-        # per completion) and the earliest upcoming boundary across the
-        # obs grid and every SLO grid — so the per-event crossing check is
-        # one float compare instead of a method call and a tracker scan.
-        # _advance() refreshes the cache whenever a window closes.
-        self._all_sketch = self._sketches["all"]
-        self._boundary = self._next_boundary()
 
-    # -- Tracer protocol -------------------------------------------------- #
+    # -- summary ----------------------------------------------------------- #
 
-    def emit(self, event: dict) -> None:
-        # This method runs once per simulation event; the folds are inlined
-        # (no helper calls on the common branches) and the boundary check
-        # is a single compare against the cached ``_boundary`` so the
-        # whole-simulation overhead stays inside the benchmark's
-        # ``OBS_LIVE_MAX_OVERHEAD`` budget.
-        kind = event["kind"]
-        t = event["t"]
-        if t > self._end_t:
-            self._end_t = t
-        # Close every window whose boundary this event crosses, in
-        # boundary-time order, *before* forwarding the event — output
-        # stays time-monotonic.  The crossing is strict (t > boundary):
-        # an event landing exactly on a boundary counts into the closing
-        # window, so completions at the run's final instant are never
-        # dropped into a zero-width tail window.
-        if t > self._boundary:
-            self._advance(t)
-        if kind == "sim.complete":
-            self._on_complete(event, t)
-        elif kind == "sim.arrival":
-            self._rid_class[event["rid"]] = event["io"]
-            self._arrivals += 1
-            self._depth_area += self._depth * (t - self._depth_t)
-            self._depth_t = t
-            self._depth = event["queue_depth"]
-        elif kind == "sim.dispatch":
-            # queue_depth is the pending depth *before* the pick.
-            self._depth_area += self._depth * (t - self._depth_t)
-            self._depth_t = t
-            self._depth = event["queue_depth"] - 1
-        elif kind == "dev.access":
-            self._add_busy(t, event["total"])
-        elif kind == "sim.end":
-            self._flush(t)
-        downstream = self.downstream_tracer
-        if downstream.enabled:
-            downstream.emit(event)
-
-    def close(self) -> None:
-        if not self._flushed and (
-            self._arrivals or self._completions or self._windows_emitted
-        ):
-            self._flush(self._end_t)
-        self.downstream_tracer.close()
-
-    # -- per-kind folds ---------------------------------------------------- #
-
-    def _on_complete(self, event: dict, t: float) -> None:
-        response = event["response"]
-        cls = self._rid_class.pop(event["rid"], None)
-        all_sketch = self._all_sketch
-        index = all_sketch.index_of(response)
-        all_sketch.add_with_index(response, index)
-        if cls is not None:
-            sketch = self._sketches.get(cls)
-            if sketch is None:
-                sketch = self._sketches[cls] = QuantileSketch(alpha=self.alpha)
-            sketch.add_with_index(response, index)
-        self._completions += 1
-        self._total_completions += 1
-        self._response_sum += response
-        for tracker in self._all_trackers:
-            tracker.observe(response, index)
-        if cls is not None and self._cls_trackers:
-            for tracker in self._cls_trackers.get(cls, ()):
-                tracker.observe(response, index)
-
-    def _add_busy(self, t: float, total: float) -> None:
-        """Spread one access's busy time across the windows it overlaps."""
-        window_s = self.window_s
-        busy = self._busy
-        end = t + total
-        if end > self._end_t:
-            self._end_t = end
-        index = int(t / window_s)
-        if end <= (index + 1) * window_s:
-            # Common case: the access fits inside one window.
-            busy[index] = busy.get(index, 0.0) + total
-            return
-        while t < end:
-            boundary = (index + 1) * window_s
-            slice_end = boundary if boundary < end else end
-            busy[index] = busy.get(index, 0.0) + (slice_end - t)
-            t = slice_end
-            index += 1
-
-    # -- window machinery -------------------------------------------------- #
-
-    def _next_boundary(self) -> float:
-        boundary = (self._window + 1) * self.window_s
-        for tracker in self._trackers:
-            candidate = tracker.boundary()
-            if candidate < boundary:
-                boundary = candidate
-        return boundary
-
-    def _advance(self, t: float, inclusive: bool = False) -> None:
-        """Close every window with boundary < ``t``, oldest first.
-
-        ``inclusive`` also closes a window ending exactly at ``t`` — the
-        end-of-run flush uses it so a boundary-coincident final event is
-        flushed with the window it was counted into.
-        """
-        while True:
-            boundary = self._next_boundary()
-            if boundary > t or (boundary == t and not inclusive):
-                self._boundary = boundary
-                return
-            obs_boundary = (self._window + 1) * self.window_s
-            if obs_boundary <= boundary:
-                self._close_obs_window(obs_boundary, obs_boundary)
-            for tracker in self._trackers:
-                if tracker.boundary() <= boundary:
-                    violation = tracker.close_window(boundary)
-                    if violation is not None:
-                        downstream = self.downstream_tracer
-                        if downstream.enabled:
-                            downstream.emit(violation)
-
-    def _close_obs_window(self, end: float, t: float) -> None:
-        """Emit one ``obs.window`` event for the window ending at ``end``."""
-        window_s = self.window_s
-        start = self._window * window_s
-        width = end - start
-        self._depth_area += self._depth * (end - self._depth_t)
-        self._depth_t = end
-        busy = self._busy.pop(self._window, 0.0)
-        completions = self._completions
-        event = {
-            "kind": "obs.window",
-            "t": t,
-            "window": self._window,
-            "start": start,
-            "end": end,
-            "arrivals": self._arrivals,
-            "completions": completions,
-            "throughput_iops": completions / width if width > 0 else 0.0,
-            "utilization": min(busy / width, 1.0) if width > 0 else 0.0,
-            "queue_depth": self._depth_area / width if width > 0 else 0.0,
-        }
-        if completions:
-            event["response_mean"] = self._response_sum / completions
-        downstream = self.downstream_tracer
-        if downstream.enabled:
-            downstream.emit(event)
-        self._windows_emitted += 1
-        self._window += 1
-        self._arrivals = 0
-        self._completions = 0
-        self._response_sum = 0.0
-        self._depth_area = 0.0
-
-    def _flush(self, end: float) -> None:
-        """Close the final (partial) windows at simulation end."""
-        if self._flushed:
-            return
-        self._flushed = True
-        if end > 0:
-            self._advance(end, inclusive=True)
-            # Partial obs window: [window*W, end) with its true width.
-            if end > self._window * self.window_s and (
-                self._arrivals or self._completions or
-                self._window in self._busy
-            ):
-                self._close_obs_window(end, end)
-            for tracker in self._trackers:
-                if tracker.count:
-                    violation = tracker.close_window(end)
-                    if violation is not None:
-                        downstream = self.downstream_tracer
-                        if downstream.enabled:
-                            downstream.emit(violation)
-
-    # -- read-back --------------------------------------------------------- #
-
-    def summary(self) -> LiveSummary:
-        """Snapshot the run-level state (call after the run completes)."""
+    def summary(self, result: "SimulationResult") -> LiveSummary:
+        """The run's :class:`LiveSummary`."""
+        end = result.end_time
+        rows = self._rows(result)
+        windows = _closed_windows(self.window_s, end)
+        windows += self._partial_traffic(result.columns, windows, end)
+        slo = []
+        for spec in self.slos:
+            times, values, bins = rows[spec.cls]
+            closed = _closed_windows(spec.window_s, end)
+            violations = total = bad = 0
+            if end > 0 and values:
+                windows_seen = list(self._slo_windows(spec, times, values, bins))
+                for _, count, over, observed in windows_seen:
+                    violations += observed > spec.threshold_s
+                    total += count
+                    bad += over
+                closed += windows_seen[-1][0] >= closed  # the partial closes
+            budget = 1.0 - spec.objective
+            slo.append({
+                "spec": spec.to_dict(), "windows": closed,
+                "violations": violations, "completions": total, "bad": bad,
+                "burn_rate": (bad / total) / budget if total else 0.0,
+            })
         return LiveSummary(
             window_s=self.window_s,
-            windows=self._windows_emitted,
-            completions=self._total_completions,
-            sketches=dict(self._sketches),
-            slo=[tracker.stats() for tracker in self._trackers],
+            windows=windows,
+            completions=len(rows["all"][1]),
+            sketches={
+                cls: self._sketch(values, bins)
+                for cls, (_, values, bins) in rows.items()
+                if values or cls == "all"
+            },
+            slo=slo,
         )
+
+    def _rows(self, result: "SimulationResult") -> Dict[str, tuple]:
+        """Per class: completion times (array), response times and bucket
+        indexes (lists) of its completions, in completion order."""
+        c = result.columns
+        responses = (c["completion"] - c["arrival"]).tolist()
+        index_of = QuantileSketch(alpha=self.alpha).index_of
+        indexes = [index_of(value) for value in responses]
+        rows = {"all": (c["completion"], responses, indexes)}
+        for cls, mask in (("read", ~c["is_write"]), ("write", c["is_write"])):
+            flags = mask.tolist()
+            rows[cls] = (c["completion"][mask], list(compress(responses, flags)),
+                         list(compress(indexes, flags)))
+        return rows
+
+    def _sketch(self, values: List[float], indexes: list) -> QuantileSketch:
+        sketch = QuantileSketch(alpha=self.alpha)
+        sketch.add_indexed(values, indexes)
+        return sketch
+
+    def _partial_traffic(self, c, closed: int, end: float) -> bool:
+        """Whether the partial window after ``closed`` full ones saw an
+        arrival, a completion, or the start of an access."""
+        start = closed * self.window_s
+        if not len(c["arrival"]) or end <= start:
+            return False
+        np = get_numpy()
+        return bool(
+            (c["arrival"] > start).any()
+            or (c["completion"] > start).any()
+            or (np.floor(c["dispatch"] / self.window_s) == closed).any()
+        )
+
+    def _slo_windows(
+        self, spec: SLOSpec, times, responses: List[float], indexes: list
+    ) -> Iterator[Tuple[int, int, int, Optional[float]]]:
+        """``(window, completions, bad, observed quantile)`` per SLO window
+        that completed a request of the spec's class, in window order."""
+        np = get_numpy()
+        window = _window_of(times, spec.window_s)
+        cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), len(times)]
+        threshold = spec.threshold_s
+        for lo, hi in zip(cuts, cuts[1:]):
+            values = responses[lo:hi]
+            yield (
+                int(window[lo]),
+                hi - lo,
+                sum(1 for value in values if value > threshold),
+                self._sketch(values, indexes[lo:hi]).quantile(spec.objective),
+            )
+
+    # -- trace events ------------------------------------------------------ #
+
+    def events(self, result: "SimulationResult") -> List[dict]:
+        """The run's ``obs.window``/``slo.violation`` events in trace order.
+
+        Sorted by time; at one boundary the ``obs.window`` event comes
+        first and the SLO events follow in spec order; the final partial
+        windows (``obs.window`` first) come after every boundary event.
+        """
+        end = result.end_time
+        if end <= 0:
+            return []
+        keyed = self._window_events(result, end)
+        rows = self._rows(result)
+        for grid, spec in enumerate(self.slos, start=1):
+            if rows[spec.cls][1]:
+                keyed.extend(self._violations(grid, spec, end, *rows[spec.cls]))
+        keyed.sort(key=lambda item: item[0])
+        return [event for _, event in keyed]
+
+    def _window_events(self, result: "SimulationResult", end: float) -> list:
+        """``(sort key, obs.window event)`` for every closed window."""
+        np = get_numpy()
+        c = result.columns
+        width = self.window_s
+        closed = _closed_windows(width, end)
+        count = closed + self._partial_traffic(c, closed, end)
+        arrivals = Counter(
+            _window_of(c["arrival"], width).astype(np.int64).tolist()
+        )
+        done = _window_of(c["completion"], width).astype(np.int64).tolist()
+        completions = Counter(done)
+        response_sum: Dict[int, float] = {}
+        for window, response in zip(
+            done, (c["completion"] - c["arrival"]).tolist()
+        ):
+            response_sum[window] = response_sum.get(window, 0.0) + response
+        busy: Dict[int, float] = {}
+        for t, total in zip(c["dispatch"].tolist(), c["total"].tolist()):
+            _add_busy(busy, t, total, width)
+        # Queue depth after the last arrival/dispatch at each distinct time:
+        # events at one instant add an exact 0.0 to the area, so only the
+        # depth they leave behind matters.
+        times = np.concatenate((c["arrival"], c["dispatch"]))
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        depths = np.cumsum(np.repeat([1, -1], len(c["arrival"]))[order])
+        last = np.ones(len(times), dtype=bool)
+        last[:-1] = times[1:] != times[:-1]
+        changes = list(zip(
+            _window_of(times[last], width).astype(np.int64).tolist(),
+            times[last].tolist(),
+            depths[last].tolist(),
+        ))
+        keyed = []
+        depth, depth_t, cursor = 0, 0.0, 0
+        for window in range(count):
+            stop = (window + 1) * width if window < closed else end
+            area = 0.0
+            while cursor < len(changes) and changes[cursor][0] <= window:
+                _, t, after = changes[cursor]
+                area += depth * (t - depth_t)
+                depth_t, depth = t, after
+                cursor += 1
+            area += depth * (stop - depth_t)
+            depth_t = stop
+            start = window * width
+            span = stop - start
+            done_here = completions.get(window, 0)
+            event = {
+                "kind": "obs.window", "t": stop, "window": window,
+                "start": start, "end": stop,
+                "arrivals": arrivals.get(window, 0), "completions": done_here,
+                "throughput_iops": done_here / span if span > 0 else 0.0,
+                "utilization": (
+                    min(busy.get(window, 0.0) / span, 1.0) if span > 0 else 0.0
+                ),
+                "queue_depth": area / span if span > 0 else 0.0,
+            }
+            if done_here:
+                event["response_mean"] = response_sum[window] / done_here
+            keyed.append(((stop, window >= closed, 0, window), event))
+        return keyed
+
+    def _violations(self, grid, spec, end, times, values, bins) -> list:
+        """``(sort key, slo.violation event)`` per violating window."""
+        closed = _closed_windows(spec.window_s, end)
+        budget = 1.0 - spec.objective
+        history: Dict[int, Tuple[int, int]] = {}
+        keyed = []
+        for window, count, bad, observed in self._slo_windows(
+            spec, times, values, bins
+        ):
+            history[window] = (count, bad)
+            if observed is None or observed <= spec.threshold_s:
+                continue
+            trailing = [
+                history.get(index, (0, 0))
+                for index in range(window - spec.long_windows + 1, window + 1)
+            ]
+            long_count = sum(entry[0] for entry in trailing)
+            long_bad = sum(entry[1] for entry in trailing)
+            t = (window + 1) * spec.window_s if window < closed else end
+            keyed.append(((t, window >= closed, grid, window), {
+                "kind": "slo.violation", "t": t, "class": spec.cls,
+                "objective": spec.objective, "threshold": spec.threshold_s,
+                "observed": observed, "burn_rate": (bad / count) / budget,
+                "burn_rate_long": (long_bad / long_count) / budget,
+                "window": window,
+            }))
+        return keyed
+
+
+def _add_busy(busy: Dict[int, float], t: float, total: float, width: float):
+    """Spread one access's busy time over the windows it overlaps, from
+    window ``int(t / width)`` on; a slice for a window whose boundary is
+    already behind ``t`` (a rounding edge) is dropped: that window closed
+    before the access began."""
+    end = t + total
+    index = int(t / width)
+    if end <= (index + 1) * width:
+        busy[index] = busy.get(index, 0.0) + total
+        return
+    start = t
+    while start < end:
+        boundary = (index + 1) * width
+        slice_end = boundary if boundary < end else end
+        if boundary >= t:
+            busy[index] = busy.get(index, 0.0) + (slice_end - start)
+        start = slice_end
+        index += 1
+
+
+def stream_path(trace_path: str) -> str:
+    """Where a traced live run writes its event stream before
+    :func:`splice_trace` turns it into ``trace_path``."""
+    return trace_path + ".tmp"
+
+
+def splice_trace(stream: str, trace_path: str, events: Sequence[dict]) -> None:
+    """Copy the trace at ``stream`` to ``trace_path`` with ``events``
+    interleaved, then delete ``stream`` (also when the copy fails).
+
+    Each event goes right before the first stream line whose ``t`` is
+    greater than its own, or else before the closing ``sim.end``.  Stream
+    lines are copied as they are, events serialized as
+    :class:`~repro.obs.tracer.JsonlTracer` does (a ``.gz`` ``trace_path``
+    gets its own name in the gzip header).
+    """
+    try:
+        with _open_text(stream, "r") as source, \
+                _open_text(trace_path, "w") as out:
+            pending = iter(events)
+            event = next(pending, None)
+            for line in source:
+                if event is not None:
+                    t = _line_time(line)
+                    while event is not None and event["t"] < t:
+                        out.write(json.dumps(event, sort_keys=True) + "\n")
+                        event = next(pending, None)
+                out.write(line)
+    finally:
+        os.remove(stream)
+
+
+def _line_time(line: str) -> float:
+    """The ``t`` of one trace line (``inf`` for ``sim.end``); JSON escapes
+    quotes inside strings, so ``"t": `` only occurs as the key."""
+    if '"kind": "sim.end"' in line:
+        return math.inf
+    start = line.index('"t": ') + 5
+    stop = line.find(",", start)
+    return float(line[start:stop if stop >= 0 else line.rindex("}")])

@@ -35,7 +35,8 @@ values above the cap are clamped into the top bucket.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from collections import Counter
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 DEFAULT_ALPHA = 0.005
 """Default relative-error bound (0.5%) — comfortably inside the 1%
@@ -115,6 +116,22 @@ class QuantileSketch:
             self._min = value
         if value > self._max:
             self._max = value
+
+    def add_indexed(
+        self, values: Sequence[float], indexes: Sequence[Optional[int]]
+    ) -> None:
+        """:meth:`add_with_index` for many values, buckets counted in bulk."""
+        if not values:
+            return
+        if min(values) < 0:
+            raise ValueError(f"negative value: {min(values)}")
+        counts = Counter(indexes)
+        self.zero += counts.pop(None, 0)
+        for index, count in counts.items():
+            self.bins[index] = self.bins.get(index, 0) + count
+        self.count += len(values)
+        self._min = min(self._min, min(values))
+        self._max = max(self._max, max(values))
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:

@@ -47,8 +47,8 @@ Event kinds emitted by the stack:
     One closed live-aggregation window (:mod:`repro.obs.live`): the
     ``[start, end)`` interval in simulated time with its completion and
     arrival counts, throughput, device utilization, and time-averaged
-    queue depth.  Emitted at the window-boundary time, ahead of the event
-    that crossed the boundary.
+    queue depth.  Spliced into a traced live run's trace at the
+    window-boundary time, ahead of the first event past the boundary.
 ``slo.violation``
     One SLO evaluation window whose observed objective-quantile latency
     exceeded its threshold (:class:`repro.obs.live.SLOSpec`): the request

@@ -22,10 +22,15 @@ from __future__ import annotations
 import dataclasses
 import difflib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Dict, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from repro.core.registry import Registry
-from repro.obs.live import LiveAggregator, SLOSpec
+from repro.obs.live import (
+    DEFAULT_WINDOW_S, LiveAggregator, LiveSummary, SLOSpec, check_width,
+    splice_trace, stream_path,
+)
 from repro.obs.tracer import JsonlTracer, NULL_TRACER, SamplingTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -144,16 +149,16 @@ class SimConfig:
             request (plus head/tail windows); the sampling parameters are
             recorded in the ``trace.meta`` header.  ``1`` traces every
             request and is event-identical to leaving this unset.
-        live_window: When set, attach a
-            :class:`~repro.obs.live.LiveAggregator` with this tumbling
-            window width (simulated seconds): ``obs.window`` events are
-            interleaved into the trace and per-class quantile sketches are
-            maintained online.  Setting :attr:`slos` implies live
-            aggregation with the default window.
+        live_window: When set (finite, > 0), :meth:`run_live` folds the
+            finished run's completion columns into tumbling windows of
+            this width (simulated seconds) and per-class quantile sketches
+            (:class:`~repro.obs.live.LiveAggregator`); a traced run gets
+            its ``obs.window`` events spliced into the trace.  Setting
+            :attr:`slos` implies live aggregation with the default window.
         slos: Per-class latency objectives
-            (:class:`~repro.obs.live.SLOSpec`) tracked online by the live
-            aggregator; violations are emitted as ``slo.violation`` trace
-            events.  Any sequence is accepted and normalized to a tuple.
+            (:class:`~repro.obs.live.SLOSpec`) evaluated by the same fold;
+            violations become ``slo.violation`` trace events.  Any
+            sequence is accepted and normalized to a tuple.
         scheduler_params: Keyword options for the scheduler factory, e.g.
             ``{"age_weight": 0.02}`` for ASPTF or
             ``{"sectors_per_cylinder": 2700}`` for SXTF.  Only the options
@@ -188,8 +193,8 @@ class SimConfig:
             raise ValueError(f"jobs must be >= 1: {self.jobs}")
         if self.trace_sample is not None and self.trace_sample < 1:
             raise ValueError(f"trace_sample must be >= 1: {self.trace_sample}")
-        if self.live_window is not None and self.live_window <= 0:
-            raise ValueError(f"live_window must be > 0: {self.live_window}")
+        if self.live_window is not None:
+            check_width("live_window", self.live_window)
         slos = tuple(self.slos)
         object.__setattr__(self, "slos", slos)
         for index, spec in enumerate(slos):
@@ -224,11 +229,9 @@ class SimConfig:
         With :attr:`trace_sample` > 1 the JSONL sink is wrapped in a
         :class:`~repro.obs.tracer.SamplingTracer` and the sampling
         parameters are written into the ``trace.meta`` header; a sample of
-        1 (or ``None``) produces a byte-identical unsampled trace.  With
-        :attr:`live_window`/:attr:`slos` set, the whole chain is wrapped
-        in a :class:`~repro.obs.live.LiveAggregator` — *outside* the
-        sampler, so live aggregation always sees the full event stream
-        (the aggregator's own rid-less events pass any sampler unharmed).
+        1 (or ``None``) produces a byte-identical unsampled trace.  Live
+        window events are not part of the sink: :meth:`run_live` splices
+        them into the file after the run.
         """
         sink: Tracer = NULL_TRACER
         if self.trace_path is not None:
@@ -238,14 +241,6 @@ class SimConfig:
             )
             if every > 1:
                 sink = SamplingTracer(sink, every)
-        if self.live_enabled:
-            from repro.obs.live import DEFAULT_WINDOW_S
-
-            return LiveAggregator(
-                sink,
-                window_s=self.live_window or DEFAULT_WINDOW_S,
-                slos=self.slos,
-            )
         return sink
 
     def build_simulation(self, tracer: Optional[Tracer] = None) -> "Simulation":
@@ -263,20 +258,51 @@ class SimConfig:
         :class:`~repro.sim.engine.QueueOverflowError` on saturation, like
         ``Simulation.run``; the sweep helpers map that to a saturated point.
         """
-        own_tracer = tracer is None and (
-            self.trace_path is not None or self.live_enabled
-        )
+        return self.run_live(tracer=tracer)[0]
+
+    def run_live(
+        self,
+        requests: Optional["RequestBatch"] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> Tuple["SimulationResult", Optional[LiveSummary]]:
+        """:meth:`run`, also returning the live summary (``None`` when
+        live aggregation is off), folded from the whole run's columns.
+
+        ``requests`` replaces the workload's stream (a fleet member's
+        shard).  A traced live run writes its stream to a temporary file,
+        then splices the window events into :attr:`trace_path`
+        (:func:`~repro.obs.live.splice_trace`); if the run raises, the
+        trace keeps the stream alone.  A passed-in ``tracer`` gets no
+        window events.
+        """
+        live: Optional[LiveAggregator] = None
+        if self.live_enabled:
+            live = LiveAggregator(self.live_window or DEFAULT_WINDOW_S, self.slos)
+        trace_path = self.trace_path if live is not None and tracer is None else None
+        stream = None if trace_path is None else stream_path(trace_path)
+        config = self if stream is None else self.replace(trace_path=stream)
+        own_tracer = tracer is None
         if tracer is None:
-            tracer = self.build_tracer()
+            tracer = config.build_tracer()
+        events: Sequence[dict] = ()
         try:
-            simulation = self.build_simulation(tracer=tracer)
-            result = simulation.run(
-                self.build_requests(simulation.device)
-            )
+            try:
+                simulation = config.build_simulation(tracer=tracer)
+                result = simulation.run(
+                    requests
+                    if requests is not None
+                    else self.build_requests(simulation.device)
+                )
+            finally:
+                if own_tracer:
+                    tracer.close()
+            if live is not None and stream is not None:
+                events = live.events(result)
         finally:
-            if own_tracer:
-                tracer.close()
-        return result.drop_warmup(self.warmup)
+            if stream is not None and trace_path is not None:
+                splice_trace(stream, trace_path, events)
+        summary = live.summary(result) if live is not None else None
+        return result.drop_warmup(self.warmup), summary
 
     def replace(self, **changes) -> "SimConfig":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""

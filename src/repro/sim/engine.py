@@ -77,14 +77,14 @@ class Simulation:
         """Build a simulation from a :class:`repro.sim.config.SimConfig`.
 
         ``tracer`` overrides the config's ``trace_path``-derived sink; when
-        neither is set the null tracer applies.  The caller owns closing a
-        tracer it passes in (``SimConfig.run`` manages the whole lifecycle).
+        neither is set the null tracer applies, live aggregation included
+        (it folds the finished result, see ``SimConfig.run_live``).  The
+        caller owns closing a tracer it passes in (``SimConfig.run``
+        manages the whole lifecycle).
         """
         device = config.build_device()
         scheduler = config.build_scheduler(device)
-        if tracer is None and (
-            config.trace_path is not None or config.live_enabled
-        ):
+        if tracer is None and config.trace_path is not None:
             tracer = config.build_tracer()
         return cls(
             device,

@@ -209,3 +209,86 @@ def test_workers_exit_when_the_parent_is_killed():
         assert _settled_group(proc.pid) == []
     finally:
         _kill_group(proc)
+
+
+def _wait_for_streams(proc: subprocess.Popen, directory, count: int) -> None:
+    """Block until ``count`` live stream files (``*.tmp``) exist."""
+    deadline = time.monotonic() + 20.0
+    while time.monotonic() < deadline and proc.poll() is None:
+        if sum(name.endswith(".tmp") for name in os.listdir(directory)) >= count:
+            return
+        time.sleep(0.02)
+    pytest.fail("the traced live run never started writing its streams")
+
+
+def test_sigint_mid_traced_live_run_keeps_the_trace_only(tmp_path):
+    """The stream written so far becomes the trace; its temporary goes."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "simulate", "--requests",
+            "300000", "--live-window", "0.5", "--trace", "live.jsonl",
+        ],
+        env=_env(),
+        cwd=tmp_path,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        _wait_for_streams(proc, tmp_path, 1)
+        time.sleep(0.2)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    except BaseException:
+        _kill_group(proc)
+        raise
+    assert proc.returncode == 130, err
+    assert err.splitlines() == ["interrupted"]
+    assert os.listdir(tmp_path) == ["live.jsonl"]
+    with open(tmp_path / "live.jsonl", encoding="utf-8") as stream:
+        first = json.loads(stream.readline())
+    assert first["kind"] == "trace.meta"
+
+
+@pytest.mark.parametrize("fault", ["kill-worker", "sigint"])
+def test_traced_live_fleet_fault_leaves_no_file(tmp_path, fault):
+    """Killed or interrupted mid-run, a traced live fleet removes its shard
+    traces and the workers' stream files; no merged trace is written."""
+    if fault == "kill-worker" and available_parallelism() < 2:
+        pytest.skip("needs two cores for pool workers to kill")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "fleet", "--members", "4",
+            "--requests", "400000", "--jobs", "2", "--live-window", "0.5",
+            "--trace", "fleet.jsonl",
+        ],
+        env=_env(),
+        cwd=tmp_path,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        _wait_for_streams(proc, tmp_path, 1)
+        if fault == "sigint":
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            worker = next(
+                pid for pid, ppid, cmdline in _group(proc.pid)
+                if ppid == proc.pid and "resource_tracker" not in cmdline
+            )
+            os.kill(worker, signal.SIGKILL)
+        out, err = proc.communicate(timeout=30)
+    except BaseException:
+        _kill_group(proc)
+        raise
+    if fault == "sigint":
+        assert proc.returncode == 130, err
+        assert err.splitlines() == ["interrupted"]
+    else:
+        assert proc.returncode == 1, err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert _settled_group(proc.pid) == []
+    assert os.listdir(tmp_path) == []

@@ -1,4 +1,9 @@
-"""Tests for the live observability engine (windows, SLOs, summaries)."""
+"""Tests for live observability (windows, SLOs, summaries).
+
+The fold works on a finished run's completion columns, so most tests here
+hand-build a :class:`SimulationResult` row by row; ``test_live_fold.py``
+checks the fold against the per-event reference aggregator on real runs.
+"""
 
 import json
 import pickle
@@ -13,9 +18,38 @@ from repro.obs.live import (
     parse_slo,
 )
 from repro.obs.sketch import QuantileSketch
-from repro.obs.tracer import RingBufferTracer
+from repro.obs.tracer import iter_trace
 from repro.obs.validate import validate_events, validate_file
 from repro.sim import SimConfig
+from repro.sim.statistics import COLUMNS, SimulationResult
+
+
+def result_of(rows, end):
+    """A result ending at ``end`` whose completions are ``rows`` of
+    ``(arrival, dispatch, service, is_write)``, in completion order."""
+    columns = {name: [] for name, _ in COLUMNS}
+    for rid, (arrival, dispatch, service, is_write) in enumerate(rows):
+        row = dict.fromkeys(columns, 0)
+        row.update(
+            arrival=arrival, is_write=is_write, rid=rid, sectors=1,
+            dispatch=dispatch, completion=dispatch + service, total=service,
+        )
+        for name, value in row.items():
+            columns[name].append(value)
+    return SimulationResult(columns, end_time=end)
+
+
+def completed_at(times, responses, is_write=False):
+    """Rows completing at ``times`` with the given response times, each
+    dispatched on arrival."""
+    return [
+        (t - response, t - response, response, is_write)
+        for t, response in zip(times, responses)
+    ]
+
+
+def by_kind(events, kind):
+    return [event for event in events if event["kind"] == kind]
 
 
 class TestSLOSpec:
@@ -32,6 +66,23 @@ class TestSLOSpec:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             SLOSpec(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(threshold_s=float("nan")), dict(threshold_s=float("inf")),
+        dict(window_s=float("nan")), dict(window_s=float("inf")),
+        dict(objective=float("nan")),
+    ])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite|objective"):
+            SLOSpec(**bad)
+
+    def test_unknown_class_suggests_the_closest(self):
+        with pytest.raises(ValueError) as raised:
+            SLOSpec(cls="reads")
+        message = str(raised.value)
+        assert "unknown SLO class 'reads'" in message
+        assert "did you mean 'read'?" in message
+        assert "all, read, write" in message
 
     def test_round_trip(self):
         spec = SLOSpec(cls="read", objective=0.95, threshold_s=0.01)
@@ -70,29 +121,23 @@ class TestParseSlo:
         with pytest.raises(ValueError):
             parse_slo(bad)
 
-
-def feed(aggregator, events):
-    for event in events:
-        aggregator.emit(event)
+    @pytest.mark.parametrize("bad", [
+        "all:p99:nan", "all:p99:inf", "all:p99:0.01:nan", "all:p99:0.01:inf",
+        "all:pnan:0.01", "reads:p99:0.01",
+    ])
+    def test_rejects_non_finite_and_unknown_class(self, bad):
+        with pytest.raises(ValueError):
+            parse_slo(bad)
 
 
 class TestLiveAggregatorWindows:
     def test_synthetic_window_accounting(self):
         """One hand-built request: every obs.window field is exact."""
-        sink = RingBufferTracer()
-        agg = LiveAggregator(sink, window_s=1.0)
-        feed(agg, [
-            {"kind": "sim.arrival", "t": 0.1, "rid": 1, "io": "read",
-             "queue_depth": 1},
-            {"kind": "sim.dispatch", "t": 0.1, "rid": 1, "queue_depth": 1},
-            {"kind": "dev.access", "t": 0.1, "rid": 1, "total": 0.2},
-            {"kind": "sim.complete", "t": 0.3, "rid": 1, "response": 0.2},
-            {"kind": "sim.end", "t": 2.5, "completed": 1},
-        ])
-        agg.close()
-        windows = sink.by_kind("obs.window")
-        # Two full windows plus the partial [2.0, 2.5) flushed at sim.end
-        # (the partial only appears when it saw activity; here it did not).
+        result = result_of([(0.1, 0.1, 0.2, False)], end=2.5)
+        windows = by_kind(LiveAggregator(window_s=1.0).events(result),
+                          "obs.window")
+        # Two full windows; the partial [2.0, 2.5) closes only when it saw
+        # activity, and here it did not.
         assert [w["window"] for w in windows] == [0, 1]
         first = windows[0]
         assert first["arrivals"] == 1
@@ -100,75 +145,96 @@ class TestLiveAggregatorWindows:
         assert first["throughput_iops"] == pytest.approx(1.0)
         assert first["utilization"] == pytest.approx(0.2)
         assert first["response_mean"] == pytest.approx(0.2)
+        assert first["queue_depth"] == 0.0
         second = windows[1]
         assert second["arrivals"] == 0
         assert second["completions"] == 0
         assert second["utilization"] == 0.0
+        assert LiveAggregator(window_s=1.0).summary(result).windows == 2
 
     def test_busy_time_spreads_across_windows(self):
-        sink = RingBufferTracer()
-        agg = LiveAggregator(sink, window_s=1.0)
-        feed(agg, [
-            # 0.4s of service straddling the first boundary: 0.8 -> 1.2.
-            {"kind": "dev.access", "t": 0.8, "rid": 1, "total": 0.4},
-            {"kind": "sim.end", "t": 2.0, "completed": 0},
-        ])
-        agg.close()
-        windows = sink.by_kind("obs.window")
+        # 0.4s of service straddling the first boundary: 0.8 -> 1.2.
+        result = result_of([(0.8, 0.8, 0.4, False)], end=2.0)
+        windows = by_kind(LiveAggregator(window_s=1.0).events(result),
+                          "obs.window")
         assert windows[0]["utilization"] == pytest.approx(0.2)
         assert windows[1]["utilization"] == pytest.approx(0.2)
 
-    def test_output_time_monotone_and_events_forwarded(self):
-        sink = RingBufferTracer()
-        agg = LiveAggregator(sink, window_s=0.5)
-        inputs = [
-            {"kind": "sim.complete", "t": 0.1 * i, "rid": i,
-             "response": 0.001}
-            for i in range(1, 30)
-        ]
-        feed(agg, inputs + [{"kind": "sim.end", "t": 3.0, "completed": 29}])
-        agg.close()
-        times = [event["t"] for event in sink.events]
+    def test_queue_depth_is_time_averaged(self):
+        # Two arrivals at 0.0; the second waits 0.5s behind the first.
+        result = result_of(
+            [(0.0, 0.0, 0.5, False), (0.0, 0.5, 0.5, False)], end=1.0
+        )
+        (window,) = by_kind(LiveAggregator(window_s=1.0).events(result),
+                            "obs.window")
+        assert window["queue_depth"] == pytest.approx(0.5)
+        assert window["utilization"] == pytest.approx(1.0)
+        assert window["response_mean"] == pytest.approx(0.75)
+
+    def test_output_time_monotone_and_events_forwarded(self, tmp_path):
+        """A traced live run: the stream events are the untraced-live
+        trace's, unchanged, with the window events spliced in order."""
+        config = SimConfig(num_requests=400, rate=900.0, warmup=0)
+        plain, live = tmp_path / "plain.jsonl", tmp_path / "live.jsonl"
+        config.replace(trace_path=str(plain)).run()
+        config.replace(
+            trace_path=str(live), live_window=0.05,
+            slos=(SLOSpec(threshold_s=0.001, window_s=0.1),),
+        ).run()
+        events = list(iter_trace(str(live)))
+        times = [event["t"] for event in events]
         assert times == sorted(times)
-        forwarded = sink.by_kind("sim.complete")
-        assert len(forwarded) == 29
+        live_kinds = {"obs.window", "slo.violation"}
+        assert {event["kind"] for event in events} >= live_kinds
+        stream = [event for event in events if event["kind"] not in live_kinds]
+        assert stream == list(iter_trace(str(plain)))
+        assert events[-1]["kind"] == "sim.end"
 
     def test_window_completions_sum_to_total(self):
-        sink = RingBufferTracer()
-        agg = LiveAggregator(sink, window_s=0.25)
-        feed(agg, [
-            {"kind": "sim.complete", "t": 0.05 * i, "rid": i,
-             "response": 0.002}
-            for i in range(1, 41)
-        ] + [{"kind": "sim.end", "t": 2.0, "completed": 40}])
-        agg.close()
-        windows = sink.by_kind("obs.window")
+        times = [0.05 * i for i in range(1, 41)]
+        result = result_of(completed_at(times, [0.002] * 40), end=2.0)
+        aggregator = LiveAggregator(window_s=0.25)
+        windows = by_kind(aggregator.events(result), "obs.window")
         assert sum(w["completions"] for w in windows) == 40
-        assert agg.summary().completions == 40
+        assert sum(w["arrivals"] for w in windows) == 40
+        assert aggregator.summary(result).completions == 40
+        assert aggregator.summary(result).windows == len(windows) == 8
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             LiveAggregator(window_s=0.0)
 
+    @pytest.mark.parametrize("width", [-1.0, float("nan"), float("inf")])
+    def test_non_finite_or_negative_window_rejected(self, width):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            LiveAggregator(window_s=width)
+
+    def test_summary_cost_ignores_empty_windows(self):
+        """A nanosecond grid over a 2 s run: 2e9 windows, counted, not
+        walked."""
+        result = result_of(completed_at([0.5, 2.0], [0.01, 0.01]), end=2.0)
+        summary = LiveAggregator(window_s=1e-9).summary(result)
+        assert summary.windows == pytest.approx(2e9, rel=1e-6)
+
+    def test_too_narrow_window_is_an_error(self):
+        result = result_of(completed_at([1.0], [0.01]), end=1.0)
+        with pytest.raises(ValueError, match="too narrow"):
+            LiveAggregator(window_s=1e-300).summary(result)
+
 
 class TestSLOTracking:
-    def violating_events(self, count=20, response=0.05):
-        events = [
-            {"kind": "sim.complete", "t": 0.01 * (i + 1), "rid": i,
-             "response": response}
-            for i in range(count)
-        ]
-        events.append({"kind": "sim.end", "t": 1.5, "completed": count})
-        return events
+    def violating_run(self, count=20, response=0.05):
+        times = [0.05 + 0.01 * (i + 1) for i in range(count)]
+        return result_of(completed_at(times, [response] * count), end=1.5)
 
     def test_violation_emitted_with_burn_rate(self):
-        sink = RingBufferTracer()
         spec = SLOSpec(cls="all", objective=0.9, threshold_s=0.01,
                        window_s=1.0)
-        agg = LiveAggregator(sink, window_s=1.0, slos=(spec,))
-        feed(agg, self.violating_events(response=0.05))
-        agg.close()
-        violations = sink.by_kind("slo.violation")
+        aggregator = LiveAggregator(window_s=1.0, slos=(spec,))
+        violations = by_kind(
+            aggregator.events(self.violating_run(response=0.05)),
+            "slo.violation",
+        )
         assert len(violations) == 1
         violation = violations[0]
         assert violation["class"] == "all"
@@ -176,32 +242,43 @@ class TestSLOTracking:
         # Every completion breached: burn = 1.0 / (1 - 0.9) = 10x budget.
         assert violation["burn_rate"] == pytest.approx(10.0)
         assert violation["burn_rate_long"] == pytest.approx(10.0)
+        stats = aggregator.summary(self.violating_run()).slo[0]
+        assert stats["violations"] == 1
+        assert stats["windows"] == 1
 
     def test_healthy_run_emits_no_violation(self):
-        sink = RingBufferTracer()
         spec = SLOSpec(cls="all", objective=0.9, threshold_s=0.01)
-        agg = LiveAggregator(sink, window_s=1.0, slos=(spec,))
-        feed(agg, self.violating_events(response=0.001))
-        agg.close()
-        assert sink.by_kind("slo.violation") == []
-        stats = agg.summary().slo[0]
+        aggregator = LiveAggregator(window_s=1.0, slos=(spec,))
+        run = self.violating_run(response=0.001)
+        assert by_kind(aggregator.events(run), "slo.violation") == []
+        stats = aggregator.summary(run).slo[0]
         assert stats["violations"] == 0
         assert stats["burn_rate"] == 0.0
 
     def test_class_filter_only_sees_its_class(self):
-        sink = RingBufferTracer()
         spec = SLOSpec(cls="write", objective=0.5, threshold_s=0.01)
-        agg = LiveAggregator(sink, window_s=1.0, slos=(spec,))
-        feed(agg, [
-            {"kind": "sim.arrival", "t": 0.1, "rid": 1, "io": "read",
-             "queue_depth": 1},
-            {"kind": "sim.complete", "t": 0.2, "rid": 1, "response": 0.05},
-            {"kind": "sim.end", "t": 0.5, "completed": 1},
-        ])
-        agg.close()
-        stats = agg.summary().slo[0]
+        aggregator = LiveAggregator(window_s=1.0, slos=(spec,))
+        run = result_of([(0.1, 0.1, 0.05, False)], end=0.5)
+        stats = aggregator.summary(run).slo[0]
         assert stats["completions"] == 0
-        assert sink.by_kind("slo.violation") == []
+        assert by_kind(aggregator.events(run), "slo.violation") == []
+
+    def test_long_burn_counts_empty_windows(self):
+        """Two violating windows two apart: the long burn of the second
+        averages over both (the empty one between adds nothing)."""
+        spec = SLOSpec(objective=0.5, threshold_s=0.01, window_s=1.0,
+                       long_windows=3)
+        rows = completed_at([0.5, 0.6], [0.05, 0.001])
+        rows += completed_at([2.5, 2.6], [0.05, 0.05])
+        run = result_of(rows, end=2.6)
+        violations = by_kind(
+            LiveAggregator(window_s=1.0, slos=(spec,)).events(run),
+            "slo.violation",
+        )
+        assert [v["window"] for v in violations] == [0, 2]
+        assert violations[1]["burn_rate"] == pytest.approx(2.0)
+        assert violations[1]["burn_rate_long"] == pytest.approx(1.5)
+        assert violations[1]["t"] == 2.6  # the partial window, at the end
 
 
 class TestEndToEndWithSimulation:
@@ -215,25 +292,19 @@ class TestEndToEndWithSimulation:
         )
         defaults.update(changes)
         config = SimConfig(**defaults)
-        tracer = config.build_tracer()
-        result = config.run(tracer=tracer)
-        tracer.close()
-        return config, result, tracer, trace
+        result, summary = config.run_live()
+        return config, result, summary, trace
 
     def test_trace_validates_and_contains_live_events(self, tmp_path):
-        _, _, tracer, trace = self.run_config(tmp_path)
+        _, _, _, trace = self.run_config(tmp_path)
         assert validate_file(str(trace)) == []
-        kinds = set()
-        import repro.obs.tracer as t
-
-        for event in t.iter_trace(str(trace)):
-            kinds.add(event["kind"])
+        kinds = {event["kind"] for event in iter_trace(str(trace))}
         assert "obs.window" in kinds
         assert "slo.violation" in kinds  # 2ms p95 is comfortably breached
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["live.jsonl"]
 
     def test_summary_matches_exact_result(self, tmp_path):
-        _, result, tracer, _ = self.run_config(tmp_path)
-        summary = tracer.summary()
+        _, result, summary, _ = self.run_config(tmp_path)
         assert summary.completions == len(result)
         exact = result.percentiles()
         sketched = summary.sketches["all"].percentiles()
@@ -241,18 +312,16 @@ class TestEndToEndWithSimulation:
             assert sketched[key] == pytest.approx(exact[key], rel=0.01)
 
     def test_summary_pickles(self, tmp_path):
-        _, _, tracer, _ = self.run_config(tmp_path)
-        summary = tracer.summary()
+        _, _, summary, _ = self.run_config(tmp_path)
         clone = pickle.loads(pickle.dumps(summary))
         assert clone.to_dict() == summary.to_dict()
 
     def test_live_without_trace_path(self):
         config = SimConfig(num_requests=500, warmup=0, live_window=1.0)
         assert config.live_enabled
-        tracer = config.build_tracer()
-        result = config.run(tracer=tracer)
-        tracer.close()
-        assert tracer.summary().completions == len(result)
+        result, summary = config.run_live()
+        assert summary.completions == len(result)
+        assert config.replace(live_window=None).run_live()[1] is None
 
     def test_validate_rejects_drifted_violation(self):
         events = [
@@ -267,44 +336,28 @@ class TestEndToEndWithSimulation:
 
 class TestMergeLiveSummaries:
     def split_run(self, chunks, window_s=1.0, slos=()):
-        """The same stream sketched whole vs in per-shard aggregators."""
-        summaries = []
-        for chunk in chunks:
-            agg = LiveAggregator(window_s=window_s, slos=slos)
-            feed(agg, chunk)
-            agg.close()
-            summaries.append(agg.summary())
-        return summaries
+        """The same stream summarized whole vs in per-shard folds."""
+        aggregator = LiveAggregator(window_s=window_s, slos=slos)
+        return [aggregator.summary(chunk) for chunk in chunks]
 
-    def completions(self, responses, start_rid=0):
-        events = [
-            {"kind": "sim.complete", "t": 0.01 * (i + 1),
-             "rid": start_rid + i, "response": response}
-            for i, response in enumerate(responses)
-        ]
-        events.append(
-            {"kind": "sim.end", "t": 1.0, "completed": len(responses)}
-        )
-        return events
+    def completions(self, responses):
+        times = [0.1 + 0.01 * (i + 1) for i in range(len(responses))]
+        return result_of(completed_at(times, responses), end=1.0)
 
     def test_merge_equals_union_sketch(self):
-        shard_a = [0.001, 0.002, 0.008, 0.020]
-        shard_b = [0.003, 0.015, 0.001]
-        summaries = self.split_run([
-            self.completions(shard_a),
-            self.completions(shard_b, start_rid=100),
-        ])
-        merged = merge_live_summaries(summaries)
+        shard_a = self.completions([0.001, 0.002, 0.008, 0.020])
+        shard_b = self.completions([0.003, 0.015, 0.001])
+        merged = merge_live_summaries(self.split_run([shard_a, shard_b]))
         union = QuantileSketch()
-        union.extend(shard_a + shard_b)
-        assert merged.sketches["all"] == union
+        union.extend(shard_a.response_times + shard_b.response_times)
+        assert merged.sketches["all"].to_dict() == union.to_dict()
         assert merged.completions == 7
 
     def test_merge_order_invariant_bytes(self):
         summaries = self.split_run([
             self.completions([0.001, 0.004]),
-            self.completions([0.009], start_rid=10),
-            self.completions([0.002, 0.030], start_rid=20),
+            self.completions([0.009]),
+            self.completions([0.002, 0.030]),
         ])
         forward = merge_live_summaries(summaries)
         backward = merge_live_summaries(list(reversed(summaries)))
@@ -318,7 +371,7 @@ class TestMergeLiveSummaries:
         summaries = self.split_run(
             [
                 self.completions([0.001, 0.010]),
-                self.completions([0.020, 0.030], start_rid=10),
+                self.completions([0.020, 0.030]),
             ],
             slos=(spec,),
         )
