@@ -26,7 +26,7 @@ at the repo root) so regressions are diffable across commits:
   parallel leg is skipped (it would rerun the sequential path and report
   timing jitter as a speedup) and the sequential timing is reused.
 
-Plus four guards that ride along: **tracing overhead** (null / ring /
+Plus three guards that ride along: **tracing overhead** (null / ring /
 JSONL sinks on the dispatch loop — tracing must never change scheduling),
 **streaming trace analysis** (``repro.obs.analyze`` one-pass throughput,
 floored at ``ANALYZE_MIN_EVENTS_PER_S`` in the smoke test), **live
@@ -34,8 +34,7 @@ observability overhead** (a summary-only live run — windowed metrics,
 quantile sketches and an SLO folded from the finished result's columns —
 pinned at <= ``OBS_LIVE_MAX_OVERHEAD`` of the same run without it, with
 the self-profiler's zero-cost-when-off structural check and one profiled
-run's subsystem breakdown riding along), and the **static-analysis
-budget** (``repro.analysis`` over src/ must stay under ``LINT_BUDGET_S``).
+run's subsystem breakdown riding along).
 
 Run it as a script::
 
@@ -776,88 +775,6 @@ def bench_workload_gen(count: int, repeats: int) -> dict:
     }
 
 
-LINT_BUDGET_S = 10.0
-"""CI-gate budget for a *cold* project lint (full call-graph build) of src/.
-
-The `lint` job runs `python -m repro.analysis src` on every PR; keeping the
-full-tree two-pass analysis under this bound keeps that gate effectively
-free."""
-
-LINT_WARM_BUDGET_S = 1.0
-"""Budget for a *warm* incremental lint of an unchanged tree.
-
-A warm run serves every file from the summary cache (zero ``ast.parse``
-calls) and only rebuilds the call graph, so it must be near-instant."""
-
-
-def bench_lint(
-    budget_s: float = LINT_BUDGET_S,
-    warm_budget_s: float = LINT_WARM_BUDGET_S,
-) -> dict:
-    """Time cold and warm project lints of src/; raise if over budget.
-
-    Runs the full two-pass analysis twice against a throwaway cache file:
-    the first (cold) run parses everything and populates the cache, the
-    second (warm) run must re-parse nothing, report identical findings,
-    and finish under ``warm_budget_s``.
-    """
-    import os
-    import tempfile
-
-    from repro.analysis import analyze_project
-
-    fd, cache_path = tempfile.mkstemp(suffix=".repro-cache.json")
-    os.close(fd)
-    os.unlink(cache_path)
-    kwargs = dict(
-        root=str(REPO_ROOT),
-        cache_path=cache_path,
-        test_paths=[str(REPO_ROOT / "tests")],
-    )
-    try:
-        start = time.perf_counter()
-        cold = analyze_project([str(REPO_ROOT / "src")], **kwargs)
-        cold_s = time.perf_counter() - start
-        start = time.perf_counter()
-        warm = analyze_project([str(REPO_ROOT / "src")], **kwargs)
-        warm_s = time.perf_counter() - start
-    finally:
-        if os.path.exists(cache_path):
-            os.unlink(cache_path)
-    if cold_s > budget_s:
-        raise AssertionError(
-            f"cold repro.analysis took {cold_s:.2f}s on src/ "
-            f"(budget {budget_s:.1f}s) — the CI lint gate is no longer cheap"
-        )
-    if warm.files_reparsed != 0:
-        raise AssertionError(
-            f"warm incremental lint re-parsed {warm.files_reparsed} "
-            f"unchanged file(s) — the summary cache is not being hit"
-        )
-    if warm_s > warm_budget_s:
-        raise AssertionError(
-            f"warm incremental lint took {warm_s:.2f}s "
-            f"(budget {warm_budget_s:.1f}s)"
-        )
-    if [f.fingerprint for f in cold.findings] != [
-        f.fingerprint for f in warm.findings
-    ]:
-        raise AssertionError(
-            "warm incremental lint reported different findings than the "
-            "cold run — cached summaries diverge from fresh extraction"
-        )
-    return {
-        "files_analyzed": cold.files_analyzed,
-        "findings": len(cold.findings),
-        "elapsed_s": round(cold_s, 3),
-        "budget_s": budget_s,
-        "warm_s": round(warm_s, 3),
-        "warm_budget_s": warm_budget_s,
-        "warm_cache_hits": warm.cache_hits,
-        "warm_files_reparsed": warm.files_reparsed,
-    }
-
-
 def collect(smoke: bool = False, jobs: int = 4) -> dict:
     from repro.experiments.parallel import available_parallelism
 
@@ -900,9 +817,6 @@ def collect(smoke: bool = False, jobs: int = 4) -> dict:
         "workload_gen": bench_workload_gen(
             30_000 if smoke else 200_000, repeats
         ),
-        # Smoke mode doubles as the CI guard that the static-analysis gate
-        # stays cheap: bench_lint raises if src/ takes > LINT_BUDGET_S.
-        "static_analysis": bench_lint(),
     }
     return report
 
@@ -998,11 +912,6 @@ def test_hotpath_smoke():
         f"(floor {ANALYZE_MIN_EVENTS_PER_S:.0f}) — the one-pass trace fold "
         f"got too slow for CI-scale traces"
     )
-    lint = report["static_analysis"]
-    assert lint["files_analyzed"] > 0
-    assert lint["elapsed_s"] <= lint["budget_s"]
-    assert lint["warm_s"] <= lint["warm_budget_s"]
-    assert lint["warm_files_reparsed"] == 0
 
 
 def test_null_tracer_overhead():
@@ -1053,7 +962,6 @@ def collect_smoke_subset() -> dict:
         ),
         "fleet": bench_fleet(4, 2000, 2, 1),
         "workload_gen": bench_workload_gen(10_000, 1),
-        "static_analysis": bench_lint(),
     }
 
 

@@ -1,29 +1,22 @@
-"""repro.analysis — AST-based determinism & invariant linter.
+"""repro.analysis — AST-based determinism linter.
 
-The simulator's results are bit-deterministic only as long as a handful of
-coding conventions hold: every RNG is seeded, simulated code never reads
-the host clock, tracing sites stay behind ``tracer.enabled`` guards,
-component dispatch goes through the registries, time units don't silently
-mix, and frozen configs stay frozen.  This package machine-enforces those
-conventions over the Python ``ast``:
+The paper's figures reproduce only while every request stream is seeded
+and simulated components read only simulated time; the null tracer costs
+one branch per site only while every emission site sits behind a
+``tracer.enabled`` guard.  Several breaks of these conventions pass
+every test (``docs/static-analysis.md`` lists the planted defects only
+the rules catch), so this package checks them per file, over the Python
+``ast``:
 
-* per-module rules (``R1``–``R7``, see :mod:`repro.analysis.visitors`
-  and ``docs/static-analysis.md``);
-* a two-pass *project* analysis: module summaries + a conservative call
-  graph (:mod:`repro.analysis.symbols`, :mod:`repro.analysis.callgraph`)
-  feeding interprocedural rules ``R8``–``R10`` and a cross-function
-  upgrade of ``R3`` (:mod:`repro.analysis.interproc`);
-* an incremental cache (:mod:`repro.analysis.cache`) so warm lints of an
-  unchanged tree re-parse nothing;
-* a rule registry built on :class:`repro.core.registry.Registry`
-  (:data:`~repro.analysis.rules.ANALYSIS_RULES`);
-* inline ``# repro: noqa[RULE]`` suppressions and a path-scoped allowlist
-  (:mod:`repro.analysis.suppress`);
-* a fingerprint-based baseline workflow and a CLI gate
-  (``python -m repro.analysis``) that exits nonzero on new findings, with
-  ``text``/``json``/``sarif`` output;
-* a built-in known-good/known-bad fixture corpus (``--self-test``) so CI
-  notices when a rule itself regresses.
+* ``R1`` unseeded or process-global ``random`` use,
+* ``R2`` host-clock reads outside the allowlisted reporting paths,
+* ``R3`` ``tracer.emit`` without a dominating ``tracer.enabled`` guard,
+
+plus ``E0`` for a file that does not parse.  Rules live in
+:mod:`repro.analysis.rules` (registered in
+:data:`~repro.analysis.rules.ANALYSIS_RULES`), the per-rule file
+exemptions in :mod:`repro.analysis.suppress`, and the gate is
+``python -m repro.analysis [PATH ...]`` (see ``docs/static-analysis.md``).
 
 Quickstart::
 
@@ -33,71 +26,29 @@ Quickstart::
     assert findings[0].rule == "R1"
 """
 
-from repro.analysis.cache import AnalysisCache, DEFAULT_CACHE_PATH
-from repro.analysis.callgraph import CallGraph, ProjectIndex, build_project
 from repro.analysis.engine import (
     AnalysisReport,
-    ProjectReport,
     analyze_paths,
-    analyze_project,
-    analyze_project_sources,
     analyze_source,
     iter_python_files,
 )
-from repro.analysis.findings import (
-    Baseline,
-    Finding,
-    Severity,
-    sort_findings,
-    split_new,
-)
-from repro.analysis.interproc import (
-    ProjectContext,
-    ProjectRule,
-    project_rules,
-)
+from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.rules import ANALYSIS_RULES, Rule, all_rules
-from repro.analysis.sarif import render_sarif
-from repro.analysis.selftest import (
-    FIXTURES,
-    PROJECT_FIXTURES,
-    run_selftest,
-)
 from repro.analysis.suppress import DEFAULT_ALLOWLIST, path_allowlisted
-from repro.analysis.symbols import ModuleSummary, extract_summary
 from repro.analysis.cli import main
 
 __all__ = [
     "ANALYSIS_RULES",
-    "AnalysisCache",
     "AnalysisReport",
-    "Baseline",
-    "CallGraph",
     "DEFAULT_ALLOWLIST",
-    "DEFAULT_CACHE_PATH",
-    "FIXTURES",
     "Finding",
-    "ModuleSummary",
-    "PROJECT_FIXTURES",
-    "ProjectContext",
-    "ProjectIndex",
-    "ProjectReport",
-    "ProjectRule",
     "Rule",
     "Severity",
     "all_rules",
     "analyze_paths",
-    "analyze_project",
-    "analyze_project_sources",
     "analyze_source",
-    "build_project",
-    "extract_summary",
     "iter_python_files",
     "main",
     "path_allowlisted",
-    "project_rules",
-    "render_sarif",
-    "run_selftest",
     "sort_findings",
-    "split_new",
 ]

@@ -10,7 +10,7 @@ Rules need three things the stdlib ``ast`` module doesn't provide directly:
   :class:`ImportMap` maps local names back to dotted origins and
   :func:`dotted_origin` resolves a call target to one;
 * **a per-module bundle** — :class:`ModuleSource` carries the parsed tree,
-  the raw source lines (for fingerprints and reports), and the import map.
+  the raw source lines (for reports), and the import map.
 """
 
 from __future__ import annotations
@@ -43,22 +43,6 @@ def ancestry(node: ast.AST) -> Iterator[Tuple[ast.AST, ast.AST]]:
         node = parent
 
 
-def enclosing_function(node: ast.AST) -> Optional[ast.AST]:
-    """The innermost ``def``/``async def`` containing ``node``, if any."""
-    for _, parent in ancestry(node):
-        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return parent
-    return None
-
-
-def enclosing_class(node: ast.AST) -> Optional[ast.ClassDef]:
-    """The innermost class containing ``node``, if any."""
-    for _, parent in ancestry(node):
-        if isinstance(parent, ast.ClassDef):
-            return parent
-    return None
-
-
 class ImportMap:
     """Local name -> dotted origin, collected from a module's imports.
 
@@ -66,8 +50,7 @@ class ImportMap:
     ``from random import randint`` maps ``randint -> random.randint``;
     ``from datetime import datetime`` maps ``datetime -> datetime.datetime``.
     Relative imports (``from . import x``) resolve inside this package and
-    are ignored — the determinism rules only care about stdlib/numpy
-    origins.
+    are ignored — the determinism rules only care about stdlib origins.
     """
 
     def __init__(self) -> None:

@@ -1,130 +1,45 @@
-"""``python -m repro.analysis`` — the determinism & invariant lint gate.
+"""``python -m repro.analysis [PATH ...]`` — the determinism lint gate.
 
-Usage::
+Runs rules R1–R3 over every ``.py`` file under the given paths (default:
+``src``, or ``.`` where there is none) and prints one text block per
+finding plus a summary line.  Paths are reported relative to the current
+directory, which is also what the allowlist patterns match.
 
-    python -m repro.analysis [paths...]          # default: src (text report)
-    python -m repro.analysis --format json src
-    python -m repro.analysis --format sarif src  # for CI code-scanning
-    python -m repro.analysis --incremental src   # warm runs skip re-parsing
-    python -m repro.analysis --baseline lint-baseline.json src
-    python -m repro.analysis --write-baseline lint-baseline.json src
-    python -m repro.analysis --self-test         # fixture-corpus canary
-    python -m repro.analysis --list-rules
-
-Every run is a two-pass *project* analysis: single-module rules (R1–R7)
-per file, then the interprocedural rules (R8–R10 and the R3 caller-guard
-rescue) over the whole call graph.  ``--incremental`` persists per-file
-summaries to a cache (default ``.repro-analysis-cache.json``) so warm
-runs re-parse only changed files.
-
-Exit codes: 0 = clean (no new findings / self-test passed), 1 = new
-findings (or self-test failure), 2 = usage or I/O error.
+Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.analysis.cache import DEFAULT_CACHE_PATH
-from repro.analysis.engine import (
-    AnalysisReport,
-    ProjectReport,
-    analyze_project,
-)
-from repro.analysis.findings import (
-    Baseline,
-    Finding,
-    REPORT_SCHEMA,
-    split_new,
-)
-from repro.analysis.interproc import project_rules
-from repro.analysis.rules import all_rules
-from repro.analysis.sarif import render_sarif
-from repro.analysis.selftest import run_selftest
+from repro.analysis.engine import AnalysisReport, analyze_paths
 
 
 def _default_paths() -> List[str]:
     return ["src"] if os.path.isdir("src") else ["."]
 
 
-def _render_text(
-    report: AnalysisReport,
-    new: Sequence[Finding],
-    baselined: Sequence[Finding],
-) -> str:
-    lines = [finding.render() for finding in new]
+def _summary(report: AnalysisReport) -> str:
+    count = len(report.findings)
     summary = (
         f"{report.files_analyzed} files analyzed: "
-        f"{len(new)} new finding{'s' if len(new) != 1 else ''}"
+        f"{count} finding{'s' if count != 1 else ''}"
     )
-    if baselined:
-        summary += f", {len(baselined)} baselined"
-    if isinstance(report, ProjectReport) and report.cache_used:
-        summary += (
-            f" [cache: {report.cache_hits} hit(s), "
-            f"{report.files_reparsed} re-parsed]"
-        )
-    if new:
-        by_rule: dict = {}
-        for finding in new:
-            by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
+    if count:
         summary += " (" + ", ".join(
-            f"{rule}: {count}" for rule, count in sorted(by_rule.items())
+            f"{rule}: {n}" for rule, n in report.counts_by_rule().items()
         ) + ")"
-    lines.append(summary)
-    return "\n".join(lines)
-
-
-def _render_json(
-    report: AnalysisReport,
-    new: Sequence[Finding],
-    baselined: Sequence[Finding],
-) -> str:
-    payload = {
-        "schema": REPORT_SCHEMA,
-        "files_analyzed": report.files_analyzed,
-        "counts_by_rule": report.counts_by_rule(),
-        "new": [finding.to_dict() for finding in new],
-        "baselined": [finding.to_dict() for finding in baselined],
-    }
-    if isinstance(report, ProjectReport):
-        payload["cache"] = {
-            "enabled": report.cache_used,
-            "hits": report.cache_hits,
-            "files_reparsed": report.files_reparsed,
-            "changed_files": report.changed_files,
-            "reverse_closure": report.reverse_closure,
-        }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _cmd_list_rules() -> int:
-    for rule in list(all_rules()) + list(project_rules()):
-        print(f"{rule.id}  {rule.slug:<24} {rule.severity!s:<7}  "
-              f"{rule.description}")
-    return 0
-
-
-def _cmd_selftest() -> int:
-    failures = run_selftest()
-    if failures:
-        for failure in failures:
-            print(f"self-test FAIL: {failure}", file=sys.stderr)
-        print(f"{len(failures)} self-test failure(s)", file=sys.stderr)
-        return 1
-    print("self-test: all rule fixtures behave")
-    return 0
+    return summary
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
-        description="AST-based determinism & invariant linter for the "
-        "simulator (rules R1-R7; see docs/static-analysis.md)",
+        description="AST-based determinism linter for the simulator "
+        "(rules R1-R3; see docs/static-analysis.md)",
     )
     parser.add_argument(
         "paths",
@@ -132,133 +47,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="PATH",
         help="files or directories to analyze (default: src)",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--incremental",
-        action="store_true",
-        help="use the on-disk summary cache; warm runs re-parse only "
-        "changed files",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=None,
-        help=f"cache file for --incremental (default: {DEFAULT_CACHE_PATH} "
-        "under --root)",
-    )
-    parser.add_argument(
-        "--tests",
-        metavar="DIR",
-        default=None,
-        help="test tree scanned for R9's test-reference check "
-        "(default: tests/ under --root when present)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="accepted-findings file; only findings not in it fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="snapshot current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--root",
-        metavar="DIR",
-        default=None,
-        help="directory paths are reported relative to (default: cwd)",
-    )
-    parser.add_argument(
-        "--no-noqa",
-        action="store_true",
-        help="ignore inline '# repro: noqa' suppressions (audit mode)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule table"
-    )
-    parser.add_argument(
-        "--self-test",
-        action="store_true",
-        help="run the built-in known-good/known-bad fixture corpus",
-    )
     args = parser.parse_args(argv)
 
-    if args.list_rules:
-        return _cmd_list_rules()
-    if args.self_test:
-        return _cmd_selftest()
-
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro.analysis: {exc}", file=sys.stderr)
-            return 2
-
-    root = args.root or os.getcwd()
-    cache_path = None
-    if args.incremental:
-        cache_path = args.cache or os.path.join(root, DEFAULT_CACHE_PATH)
-
-    test_paths: Optional[List[str]] = None
-    if args.tests is not None:
-        test_paths = [args.tests]
-    elif os.path.isdir(os.path.join(root, "tests")):
-        test_paths = [os.path.join(root, "tests")]
-
     try:
-        report = analyze_project(
-            args.paths or _default_paths(),
-            root=args.root,
-            respect_noqa=not args.no_noqa,
-            cache_path=cache_path,
-            test_paths=test_paths,
-        )
-    except FileNotFoundError as exc:
+        report = analyze_paths(args.paths or _default_paths())
+    except OSError as exc:
         print(f"repro.analysis: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline is not None:
-        merged = Baseline.from_findings(report.findings)
-        if os.path.exists(args.write_baseline):
-            try:
-                existing = Baseline.load(args.write_baseline)
-            except (OSError, ValueError) as exc:
-                print(f"repro.analysis: {exc}", file=sys.stderr)
-                return 2
-            existing.update(merged)
-            merged = existing
-        pruned = merged.prune_stale(
-            lambda path: os.path.exists(os.path.join(root, path))
-        )
-        merged.save(args.write_baseline)
-        message = (
-            f"baseline with {len(merged.fingerprints)} fingerprint(s) "
-            f"written to {args.write_baseline}"
-        )
-        if pruned:
-            message += f" ({len(pruned)} stale entr(y/ies) pruned)"
-        print(message)
-        return 0
-
-    new, baselined = split_new(report.findings, baseline)
-    if args.format == "json":
-        print(_render_json(report, new, baselined))
-    elif args.format == "sarif":
-        print(render_sarif(report, new, baselined))
-    else:
-        print(_render_text(report, new, baselined))
-    return 1 if new else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    for finding in report.findings:
+        print(finding.render())
+    print(_summary(report))
+    return 1 if report.findings else 0

@@ -1,175 +1,61 @@
-"""Analysis driver: file discovery, rule execution, suppression filtering.
+"""Analysis engine: file discovery, rule execution, allowlist filtering.
 
 :func:`analyze_source` runs the rule set over one module's source text;
 :func:`analyze_paths` walks files/directories deterministically (sorted,
 skipping ``__pycache__`` and hidden directories) and aggregates an
-:class:`AnalysisReport`.  The engine owns everything rules shouldn't see:
-``# repro: noqa`` directives, the path allowlist, parse errors, and the
-occurrence numbering that keeps fingerprints unique.
-
-Two engine-level pseudo-rules surface in reports alongside R1–R7:
-
-* ``R0`` (*unknown-suppression*, warning) — a ``noqa[...]`` directive names
-  a rule that doesn't exist, so the suppression is dead and a typo cannot
-  silently disable checking;
-* ``E0`` (*parse-error*, error) — a file failed to parse; nothing in it was
-  analyzed.
+:class:`AnalysisReport`.  The engine owns what rules shouldn't see: the
+path allowlist and parse errors.  A file that fails to parse is reported
+as an ``E0`` (*parse-error*) finding; nothing in it was analyzed.
 """
 
 from __future__ import annotations
 
-import ast
 import os
-import re
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.astutil import ModuleSource
-from repro.analysis.cache import (
-    AnalysisCache,
-    file_digest,
-    ruleset_signature,
-)
-from repro.analysis.callgraph import build_project
-from repro.analysis.findings import (
-    Finding,
-    Severity,
-    assign_occurrences,
-    sort_findings,
-)
-from repro.analysis.interproc import (
-    ProjectContext,
-    ProjectRule,
-    project_rules,
-    rescued_emit_lines,
-)
-from repro.analysis.rules import Rule, all_rules
-from repro.analysis.suppress import (
-    DEFAULT_ALLOWLIST,
-    Suppressions,
-    path_allowlisted,
-)
-from repro.analysis.symbols import (
-    ModuleSummary,
-    extract_summary,
-    module_name_for,
-)
-from repro.core.registry import fold_name
+from repro.analysis.findings import Finding, Severity, sort_findings
+from repro.analysis.rules import all_rules
+from repro.analysis.suppress import DEFAULT_ALLOWLIST, path_allowlisted
 
 SKIP_DIR_NAMES = frozenset({"__pycache__", ".git", ".hypothesis"})
-
-_TEST_NAME_RE = re.compile(r"\w+")
-
-
-def _rule_tokens(rule: Rule) -> FrozenSet[str]:
-    return frozenset({fold_name(rule.id), fold_name(rule.slug)})
-
-
-def _known_tokens(rules: Sequence[Rule]) -> FrozenSet[str]:
-    tokens = set()
-    for rule in rules:
-        tokens |= _rule_tokens(rule)
-    return frozenset(tokens)
 
 
 def analyze_source(
     source: str,
     path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
     allowlist: Optional[Mapping[str, Tuple[str, ...]]] = None,
-    respect_noqa: bool = True,
 ) -> List[Finding]:
-    """Run ``rules`` (default: all registered) over one module's source.
+    """Run every registered rule over one module's source.
 
     ``path`` is both the display location and the allowlist matching key;
     pass ``allowlist={}`` to disable path exemptions (the fixture tests do,
     so known-bad snippets trigger regardless of their fake paths).
     """
-    findings, _ = analyze_module_source(
-        source,
-        path=path,
-        rules=rules,
-        allowlist=allowlist,
-        respect_noqa=respect_noqa,
-    )
-    return findings
-
-
-def analyze_module_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-    allowlist: Optional[Mapping[str, Tuple[str, ...]]] = None,
-    respect_noqa: bool = True,
-    extra_known_tokens: FrozenSet[str] = frozenset(),
-) -> Tuple[List[Finding], Optional[ModuleSource]]:
-    """Like :func:`analyze_source` but also returns the parsed module.
-
-    The project pipeline reuses the parse for summary extraction instead
-    of parsing twice.  ``extra_known_tokens`` teaches the R0 unknown-
-    suppression check about rule tokens handled elsewhere (the
-    interprocedural rules), so ``noqa[R8]`` isn't flagged as a typo.
-    Returns ``(findings, None)`` when the file does not parse.
-    """
-    if rules is None:
-        rules = all_rules()
     if allowlist is None:
         allowlist = DEFAULT_ALLOWLIST
     try:
         module = ModuleSource.parse(source, path)
     except SyntaxError as exc:
-        return (
-            [
-                Finding(
-                    rule="E0",
-                    severity=Severity.ERROR,
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    message=f"file does not parse: {exc.msg}",
-                    source_line=(exc.text or "").strip(),
-                )
-            ],
-            None,
-        )
-
-    suppressions = Suppressions.scan(
-        source, _known_tokens(rules) | extra_known_tokens
-    )
-    findings: List[Finding] = []
-    for lineno, token in suppressions.unknown:
-        findings.append(
+        return [
             Finding(
-                rule="R0",
-                severity=Severity.WARNING,
+                rule="E0",
+                severity=Severity.ERROR,
                 path=path,
-                line=lineno,
-                col=0,
-                message=(
-                    f"noqa names unknown rule {token!r}; the suppression "
-                    f"has no effect"
-                ),
-                source_line=module.line_text(lineno),
+                line=exc.lineno or 1,
+                col=(exc.offset or 1) - 1,
+                message=f"file does not parse: {exc.msg}",
+                source_line=(exc.text or "").strip(),
             )
-        )
+        ]
 
-    for rule in rules:
+    findings: List[Finding] = []
+    for rule in all_rules():
         if path_allowlisted(rule.id, path, allowlist):
             continue
-        tokens = _rule_tokens(rule)
         for node, message in rule.check(module):
             lineno = getattr(node, "lineno", 1)
-            if respect_noqa and suppressions.suppresses(lineno, tokens):
-                continue
             findings.append(
                 Finding(
                     rule=rule.id,
@@ -181,7 +67,7 @@ def analyze_module_source(
                     source_line=module.line_text(lineno),
                 )
             )
-    return assign_occurrences(findings), module
+    return sort_findings(findings)
 
 
 def iter_python_files(
@@ -190,8 +76,8 @@ def iter_python_files(
     """Resolve files/directories to sorted ``(abspath, display)`` pairs.
 
     ``display`` is the path relative to ``root`` (default: the current
-    directory) with POSIX separators — the form fingerprints, allowlist
-    patterns, and reports all use.
+    directory) with POSIX separators — the form allowlist patterns and
+    reports use.
     """
     if root is None:
         root = os.getcwd()
@@ -210,7 +96,7 @@ def iter_python_files(
                 for filename in sorted(filenames):
                     if filename.endswith(".py"):
                         collected.append(os.path.join(dirpath, filename))
-        elif absolute.endswith(".py") or os.path.isfile(absolute):
+        elif os.path.isfile(absolute):
             collected.append(absolute)
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
@@ -230,14 +116,6 @@ class AnalysisReport:
     findings: List[Finding] = field(default_factory=list)
     files_analyzed: int = 0
 
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.WARNING]
-
     def counts_by_rule(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for finding in self.findings:
@@ -248,287 +126,19 @@ class AnalysisReport:
 def analyze_paths(
     paths: Sequence[str],
     root: Optional[str] = None,
-    rules: Optional[Sequence[Rule]] = None,
     allowlist: Optional[Mapping[str, Tuple[str, ...]]] = None,
-    respect_noqa: bool = True,
 ) -> AnalysisReport:
-    """Analyze every ``.py`` file under ``paths``; deterministic order."""
-    if rules is None:
-        rules = all_rules()
+    """Analyze every ``.py`` file under ``paths``.
+
+    Files are visited in display-path order and each file's findings come
+    back sorted, so the report is in :func:`sort_findings` order.
+    """
     report = AnalysisReport()
     for absolute, display in iter_python_files(paths, root=root):
         with open(absolute, "r", encoding="utf-8") as stream:
             source = stream.read()
         report.findings.extend(
-            analyze_source(
-                source,
-                path=display,
-                rules=rules,
-                allowlist=allowlist,
-                respect_noqa=respect_noqa,
-            )
+            analyze_source(source, path=display, allowlist=allowlist)
         )
         report.files_analyzed += 1
-    report.findings = sort_findings(report.findings)
     return report
-
-
-# --------------------------------------------------------------------------- #
-# Project-wide (two-pass) analysis
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class ProjectReport(AnalysisReport):
-    """An :class:`AnalysisReport` plus incremental-run telemetry.
-
-    ``files_reparsed`` counts files that went through ``ast.parse`` this
-    run; a warm run over an unchanged tree reports zero.  ``cache_hits``
-    counts files served from the cache.  ``changed_files`` lists files
-    that were (re)parsed; ``reverse_closure`` is the set of files whose
-    analysis could have changed as a result — the changed files plus
-    every transitive dependent through imports and call edges.
-    """
-
-    files_reparsed: int = 0
-    cache_hits: int = 0
-    cache_used: bool = False
-    changed_files: List[str] = field(default_factory=list)
-    reverse_closure: List[str] = field(default_factory=list)
-
-
-def _project_tokens(prules: Sequence[ProjectRule]) -> FrozenSet[str]:
-    tokens = set()
-    for rule in prules:
-        tokens |= {fold_name(rule.id), fold_name(rule.slug)}
-    return frozenset(tokens)
-
-
-def _allowlist_signature(
-    allowlist: Mapping[str, Tuple[str, ...]]
-) -> str:
-    return repr(sorted((k, tuple(v)) for k, v in allowlist.items()))
-
-
-def _run_project(
-    items: Sequence[Tuple[str, str]],
-    rules: Sequence[Rule],
-    prules: Sequence[ProjectRule],
-    allowlist: Mapping[str, Tuple[str, ...]],
-    respect_noqa: bool,
-    cache: Optional[AnalysisCache],
-    signature: str,
-    test_items: Optional[Sequence[Tuple[str, str]]],
-) -> Tuple[ProjectReport, AnalysisCache]:
-    """Core two-pass run over ``(display, source)`` pairs.
-
-    Pass one analyzes each file with the single-module rules and extracts
-    its :class:`ModuleSummary` (served from ``cache`` when the content
-    digest matches); pass two builds the project index + call graph from
-    the summaries and runs the interprocedural rules.  Returns the report
-    and the refreshed cache (caller decides whether to persist it).
-    """
-    ptokens = _project_tokens(prules)
-    new_cache = AnalysisCache(ruleset=signature)
-    summaries: List[ModuleSummary] = []
-    per_file: Dict[str, List[Finding]] = {}
-    changed: List[str] = []
-    hits = 0
-
-    for display, source in items:
-        digest = file_digest(source)
-        entry = cache.entry_for(display, digest) if cache else None
-        summary: Optional[ModuleSummary] = None
-        findings: List[Finding] = []
-        if entry is not None:
-            try:
-                summary = ModuleSummary.from_dict(entry["summary"])
-                findings = [
-                    Finding.from_dict(item) for item in entry["findings"]
-                ]
-            except (KeyError, TypeError, ValueError):
-                summary = None
-        if summary is None:
-            findings, module = analyze_module_source(
-                source,
-                path=display,
-                rules=rules,
-                allowlist=allowlist,
-                respect_noqa=respect_noqa,
-                extra_known_tokens=ptokens,
-            )
-            if module is None:
-                summary = ModuleSummary(
-                    path=display, module=module_name_for(display)
-                )
-            else:
-                summary = extract_summary(
-                    module,
-                    display,
-                    known_tokens=_known_tokens(rules) | ptokens,
-                    source=source,
-                )
-            changed.append(display)
-        else:
-            hits += 1
-        summaries.append(summary)
-        per_file[display] = findings
-        new_cache.files[display] = {
-            "digest": digest,
-            "summary": summary.to_dict(),
-            "findings": [f.to_cache_dict() for f in findings],
-        }
-
-    test_names: Optional[FrozenSet[str]] = None
-    if test_items is not None:
-        names: set = set()
-        for display, source in test_items:
-            digest = file_digest(source)
-            cached = (
-                cache.test_names_for(display, digest) if cache else None
-            )
-            if cached is None:
-                cached = sorted(set(_TEST_NAME_RE.findall(source)))
-            names.update(cached)
-            new_cache.tests[display] = {
-                "digest": digest,
-                "names": list(cached),
-            }
-        test_names = frozenset(names)
-
-    index, graph = build_project(summaries)
-    ctx = ProjectContext(index=index, graph=graph, test_names=test_names)
-    rescued = rescued_emit_lines(ctx)
-
-    findings: List[Finding] = []
-    for display, file_findings in per_file.items():
-        findings.extend(
-            f
-            for f in file_findings
-            if not (f.rule == "R3" and (f.path, f.line) in rescued)
-        )
-    for prule in prules:
-        tokens = frozenset({fold_name(prule.id), fold_name(prule.slug)})
-        for finding in prule.check(ctx):
-            if path_allowlisted(prule.id, finding.path, allowlist):
-                continue
-            summary = index.by_path.get(finding.path)
-            if (
-                respect_noqa
-                and summary is not None
-                and summary.suppresses(finding.line, tokens)
-            ):
-                continue
-            findings.append(finding)
-
-    report = ProjectReport(
-        findings=sort_findings(assign_occurrences(findings)),
-        files_analyzed=len(per_file),
-        files_reparsed=len(changed),
-        cache_hits=hits,
-        cache_used=cache is not None,
-        changed_files=sorted(changed),
-        reverse_closure=sorted(graph.reverse_dependency_closure(changed)),
-    )
-    return report, new_cache
-
-
-def analyze_project(
-    paths: Sequence[str],
-    root: Optional[str] = None,
-    rules: Optional[Sequence[Rule]] = None,
-    prules: Optional[Sequence[ProjectRule]] = None,
-    allowlist: Optional[Mapping[str, Tuple[str, ...]]] = None,
-    respect_noqa: bool = True,
-    cache_path: Optional[str] = None,
-    test_paths: Optional[Sequence[str]] = None,
-) -> ProjectReport:
-    """Two-pass project analysis over files on disk.
-
-    Single-module rules plus the interprocedural rules (R8–R10, and the
-    R3 caller-guard rescue).  With ``cache_path``, unchanged files are
-    served from the incremental cache and the refreshed cache is written
-    back; the cache is discarded wholesale when the rule-set signature
-    (rule ids, semantics version, noqa/allowlist options) changed.
-    ``test_paths`` names the test tree scanned for R9's test-reference
-    check; None disables that check.
-    """
-    if rules is None:
-        rules = all_rules()
-    if prules is None:
-        prules = project_rules()
-    if allowlist is None:
-        allowlist = DEFAULT_ALLOWLIST
-    signature = ruleset_signature(
-        list(rules) + list(prules),
-        extra=(
-            f"noqa={respect_noqa}|allow={_allowlist_signature(allowlist)}"
-        ),
-    )
-    cache = AnalysisCache.load(cache_path) if cache_path else None
-    if cache is not None and cache.ruleset != signature:
-        cache = None
-
-    items = []
-    for absolute, display in iter_python_files(paths, root=root):
-        with open(absolute, "r", encoding="utf-8") as stream:
-            items.append((display, stream.read()))
-
-    test_items: Optional[List[Tuple[str, str]]] = None
-    if test_paths is not None:
-        test_items = []
-        for absolute, display in iter_python_files(test_paths, root=root):
-            with open(absolute, "r", encoding="utf-8") as stream:
-                test_items.append((display, stream.read()))
-
-    report, new_cache = _run_project(
-        items,
-        rules,
-        prules,
-        allowlist,
-        respect_noqa,
-        cache,
-        signature,
-        test_items,
-    )
-    report.cache_used = cache_path is not None
-    if cache_path is not None:
-        new_cache.save(cache_path)
-    return report
-
-
-def analyze_project_sources(
-    sources: Mapping[str, str],
-    rules: Optional[Sequence[Rule]] = None,
-    prules: Optional[Sequence[ProjectRule]] = None,
-    allowlist: Optional[Mapping[str, Tuple[str, ...]]] = None,
-    respect_noqa: bool = True,
-    test_sources: Optional[Mapping[str, str]] = None,
-) -> List[Finding]:
-    """In-memory project analysis for fixtures and tests.
-
-    ``sources`` maps display path -> source text.  ``test_sources=None``
-    disables R9's test-reference check (fixtures that don't care about it
-    stay quiet); pass ``{}`` to enforce it against an empty test tree.
-    """
-    if rules is None:
-        rules = all_rules()
-    if prules is None:
-        prules = project_rules()
-    if allowlist is None:
-        allowlist = DEFAULT_ALLOWLIST
-    items = sorted(sources.items())
-    test_items = (
-        sorted(test_sources.items()) if test_sources is not None else None
-    )
-    report, _ = _run_project(
-        items,
-        rules,
-        prules,
-        allowlist,
-        respect_noqa,
-        cache=None,
-        signature="",
-        test_items=test_items,
-    )
-    return report.findings

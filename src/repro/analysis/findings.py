@@ -1,43 +1,25 @@
-"""Finding and baseline types for the static-analysis framework.
+"""Finding types for the static-analysis framework.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
-are value objects: they sort deterministically (path, line, column, rule)
-so linter output is byte-stable across runs, and they carry a *fingerprint*
-that survives unrelated line-number churn — the baseline workflow matches
-findings across commits by fingerprint, not by position.
-
-The fingerprint hashes the rule id, the file's path relative to the
-analysis root, the *text* of the offending line, and an occurrence index
-(for several identical lines in one file).  Editing anything else in the
-file leaves the fingerprint unchanged; editing the flagged line itself
-makes the finding "new" again, which is exactly when a human should re-look.
+are value objects that sort deterministically (path, line, column, rule),
+so linter output is byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
-
-BASELINE_SCHEMA = "repro-analysis-baseline/1"
-"""Schema identifier written in every baseline file."""
-
-REPORT_SCHEMA = "repro-analysis/1"
-"""Schema identifier written in every ``--format json`` report."""
+from dataclasses import dataclass
+from typing import Iterable, List
 
 
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings break determinism or performance invariants the
-    simulator's results depend on; ``WARNING`` findings are convention
-    drift (dispatch ladders, unit-suffix mixing) that wants a human look.
-    Both fail the CI gate when new — the distinction is for readers.
+    Every kept rule guards an invariant the simulator's results or its
+    null-tracer cost depend on, and so does a file that fails to parse:
+    all findings are errors and all of them fail the gate.
     """
 
-    WARNING = "warning"
     ERROR = "error"
 
     def __str__(self) -> str:
@@ -49,17 +31,16 @@ class Finding:
     """One rule violation at one source location.
 
     Attributes:
-        rule: Rule identifier (``R1`` .. ``R6``).
+        rule: Rule identifier (``R1`` .. ``R3``, or ``E0`` for a file that
+            does not parse).
         severity: See :class:`Severity`.
-        path: File path, relative to the analysis root, POSIX separators.
+        path: File path, relative to the current directory, POSIX
+            separators.
         line: 1-based line number of the offending node.
         col: 0-based column offset of the offending node.
         message: Human-readable description of the violation.
-        source_line: The stripped text of the offending line (fingerprint
-            input and context for the text report).
-        occurrence: 0-based index among findings of the same rule with the
-            same ``source_line`` text in the same file (disambiguates
-            repeated identical lines in the fingerprint).
+        source_line: The stripped text of the offending line (context for
+            the text report).
     """
 
     rule: str
@@ -69,30 +50,9 @@ class Finding:
     col: int
     message: str
     source_line: str = ""
-    occurrence: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        """Position-independent identity used by the baseline workflow."""
-        payload = "\x1f".join(
-            (self.rule, self.path, self.source_line, str(self.occurrence))
-        )
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "source_line": self.source_line,
-            "fingerprint": self.fingerprint,
-        }
 
     def render(self) -> str:
         text = (
@@ -102,150 +62,7 @@ class Finding:
             text += f"\n    {self.source_line}"
         return text
 
-    def to_cache_dict(self) -> dict:
-        """Round-trippable form for the incremental cache (unlike
-        :meth:`to_dict`, carries ``occurrence`` and no derived fields)."""
-        return {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "source_line": self.source_line,
-            "occurrence": self.occurrence,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            rule=data["rule"],
-            severity=Severity(data["severity"]),
-            path=data["path"],
-            line=int(data["line"]),
-            col=int(data.get("col", 0)),
-            message=data.get("message", ""),
-            source_line=data.get("source_line", ""),
-            occurrence=int(data.get("occurrence", 0)),
-        )
-
 
 def sort_findings(findings: Iterable[Finding]) -> List[Finding]:
     """Deterministic report order: by file, position, then rule."""
-    return sorted(
-        findings, key=lambda f: (f.path, f.line, f.col, f.rule, f.occurrence)
-    )
-
-
-def assign_occurrences(findings: Sequence[Finding]) -> List[Finding]:
-    """Number findings that share (rule, path, source_line), in line order.
-
-    Keeps fingerprints unique when the same offending line appears several
-    times in one file.
-    """
-    ordered = sort_findings(findings)
-    seen: Dict[tuple, int] = {}
-    out: List[Finding] = []
-    for finding in ordered:
-        key = (finding.rule, finding.path, finding.source_line)
-        index = seen.get(key, 0)
-        seen[key] = index + 1
-        if index != finding.occurrence:
-            finding = Finding(
-                rule=finding.rule,
-                severity=finding.severity,
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                message=finding.message,
-                source_line=finding.source_line,
-                occurrence=index,
-            )
-        out.append(finding)
-    return out
-
-
-@dataclass
-class Baseline:
-    """A set of accepted (grandfathered) finding fingerprints.
-
-    The gate workflow: ``--baseline FILE`` marks any finding whose
-    fingerprint appears in the file as *baselined*; only the remaining
-    findings count as new and fail the run.  ``--write-baseline`` snapshots
-    the current findings.  An empty baseline (the committed state of this
-    repository) means every finding fails.
-    """
-
-    fingerprints: Dict[str, str] = field(default_factory=dict)
-
-    def __contains__(self, finding: Finding) -> bool:
-        return finding.fingerprint in self.fingerprints
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        return cls(
-            fingerprints={
-                f.fingerprint: f"{f.rule} {f.location()}" for f in findings
-            }
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        with open(path, "r", encoding="utf-8") as stream:
-            payload = json.load(stream)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: baseline is not a JSON object")
-        schema = payload.get("schema")
-        if schema != BASELINE_SCHEMA:
-            raise ValueError(
-                f"{path}: baseline schema {schema!r} != {BASELINE_SCHEMA!r}"
-            )
-        fingerprints = payload.get("fingerprints", {})
-        if not isinstance(fingerprints, dict):
-            raise ValueError(f"{path}: 'fingerprints' is not an object")
-        return cls(fingerprints=dict(fingerprints))
-
-    def update(self, other: "Baseline") -> None:
-        """Merge ``other``'s fingerprints into this baseline."""
-        self.fingerprints.update(other.fingerprints)
-
-    def prune_stale(self, file_exists) -> List[str]:
-        """Drop fingerprints whose recorded file no longer exists.
-
-        ``file_exists`` maps a root-relative path to bool.  Returns the
-        pruned fingerprints (sorted).  Entries whose location string can't
-        be parsed are kept — pruning must never widen the gate by guessing.
-        """
-        stale: List[str] = []
-        for fingerprint, location in self.fingerprints.items():
-            head, _, tail = location.partition(" ")
-            if not head or not tail:
-                continue
-            path = tail.rsplit(":", 2)[0]
-            if not file_exists(path):
-                stale.append(fingerprint)
-        for fingerprint in stale:
-            del self.fingerprints[fingerprint]
-        return sorted(stale)
-
-    def save(self, path: str) -> None:
-        payload = {
-            "schema": BASELINE_SCHEMA,
-            "fingerprints": dict(sorted(self.fingerprints.items())),
-        }
-        with open(path, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-
-
-def split_new(
-    findings: Sequence[Finding], baseline: Optional[Baseline]
-) -> "tuple[List[Finding], List[Finding]]":
-    """Partition ``findings`` into (new, baselined) against ``baseline``."""
-    if baseline is None:
-        return list(findings), []
-    new: List[Finding] = []
-    old: List[Finding] = []
-    for finding in findings:
-        (old if finding in baseline else new).append(finding)
-    return new, old
+    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))

@@ -1,36 +1,17 @@
-"""Inline suppressions and the path-scoped allowlist.
+"""The path-scoped allowlist: whole files exempt from specific rules.
 
-Two escape hatches, both deliberately narrow:
-
-* ``# repro: noqa[R3]`` on the flagged line suppresses that rule there
-  (several rules: ``noqa[R1,R5]``; rule slugs also resolve:
-  ``noqa[unguarded-trace-emit]``).  A bare ``# repro: noqa`` suppresses
-  every rule on the line — reserve it for generated code.
-* The :data:`DEFAULT_ALLOWLIST` exempts whole files from specific rules
-  where the banned construct is the *point* of the file: wall-clock reads
-  are what ``experiments/runner.py``'s duration reporting does, and the
-  ``repro.obs`` sinks are the unconditional consumers every guarded
-  emission site feeds.
-
-Suppressions apply to the line the finding points at (the first line of a
-multi-line statement).  Unknown rule names inside ``noqa[...]`` are
-reported as findings themselves rather than silently ignored, so a typo
-cannot disable a rule.
+:data:`DEFAULT_ALLOWLIST` exempts files where the banned construct is the
+*point* of the file: wall-clock reads are what ``experiments/runner.py``'s
+duration reporting and the self-profiler do, and the ``repro.obs`` sinks
+are the unconditional consumers every guarded emission site feeds.  There
+is no per-line escape hatch; a finding elsewhere is fixed, or the file
+earns an allowlist entry here with its reason.
 """
 
 from __future__ import annotations
 
 import fnmatch
-import io
-import re
-import tokenize
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
-
-from repro.core.registry import fold_name
-
-NOQA_PATTERN = re.compile(
-    r"#\s*repro:\s*noqa(?:\[(?P<rules>[^\]]*)\])?", re.IGNORECASE
-)
+from typing import Mapping, Tuple
 
 DEFAULT_ALLOWLIST: Mapping[str, Tuple[str, ...]] = {
     # Wall-clock reads are legal where the *host* duration is the payload:
@@ -52,77 +33,6 @@ DEFAULT_ALLOWLIST: Mapping[str, Tuple[str, ...]] = {
         "repro/obs/*",
     ),
 }
-
-
-class Suppressions:
-    """Per-line ``# repro: noqa`` directives parsed from one module."""
-
-    def __init__(
-        self,
-        by_line: Dict[int, Optional[FrozenSet[str]]],
-        unknown: List[Tuple[int, str]],
-    ) -> None:
-        self._by_line = by_line
-        self.unknown = unknown
-        """(line, token) pairs naming rules that don't exist."""
-
-    @classmethod
-    def scan(cls, source: str, known_tokens: FrozenSet[str]) -> "Suppressions":
-        """Parse directives from a module's *comments*.
-
-        Tokenizes the source so a ``noqa``-looking string inside a
-        docstring or literal is not a directive.  ``known_tokens`` holds
-        every folded rule id and slug; tokens outside it are collected in
-        :attr:`unknown`.
-        """
-        by_line: Dict[int, Optional[FrozenSet[str]]] = {}
-        unknown: List[Tuple[int, str]] = []
-        for lineno, comment in _iter_comments(source):
-            match = NOQA_PATTERN.search(comment)
-            if match is None:
-                continue
-            raw = match.group("rules")
-            if raw is None:
-                by_line[lineno] = None  # bare noqa: everything
-                continue
-            tokens = frozenset(
-                fold_name(token) for token in raw.split(",") if token.strip()
-            )
-            for token in sorted(tokens):
-                if token not in known_tokens:
-                    unknown.append((lineno, token))
-            by_line[lineno] = tokens
-        return cls(by_line, unknown)
-
-    @classmethod
-    def empty(cls) -> "Suppressions":
-        return cls({}, [])
-
-    def suppresses(self, lineno: int, rule_tokens: FrozenSet[str]) -> bool:
-        """True when line ``lineno`` suppresses a rule with these tokens."""
-        if lineno not in self._by_line:
-            return False
-        allowed = self._by_line[lineno]
-        if allowed is None:
-            return True
-        return bool(allowed & rule_tokens)
-
-
-def _iter_comments(source: str) -> List[Tuple[int, str]]:
-    """(lineno, comment text) for every comment token in ``source``.
-
-    The engine only calls this for modules that already parsed, so
-    tokenization failures cannot happen on the same input; the guard is
-    belt and suspenders for direct callers.
-    """
-    comments: List[Tuple[int, str]] = []
-    try:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type == tokenize.COMMENT:
-                comments.append((token.start[0], token.string))
-    except (tokenize.TokenError, IndentationError):  # pragma: no cover
-        pass
-    return comments
 
 
 def path_allowlisted(

@@ -91,14 +91,6 @@ class Registry(Mapping[str, Callable[..., Any]]):
                 seen.append(canonical)
         return seen
 
-    def registered_keys(self) -> List[str]:
-        """Every normalized lookup key, aliases included, sorted.
-
-        The static-analysis rules use this to recognize component-name
-        string literals without hard-coding the component list.
-        """
-        return sorted(self._factories)
-
     def suggest(self, name: str) -> Optional[str]:
         """The closest registered display name to a misspelled ``name``.
 

@@ -28,7 +28,8 @@ exact same bytecode as before this module existed — the benchmark's
 profiler-off check asserts the instances carry no shadowing attributes.
 
 Wall-clock reads (``time.perf_counter``) are the point of this module, so
-it is allowlisted for lint rule R2 like the benchmark harnesses
+lint rule R2 (host-clock reads) exempts this file by path, like the
+experiment runner and the benchmark harnesses
 (:data:`repro.analysis.suppress.DEFAULT_ALLOWLIST`).
 """
 

@@ -195,10 +195,18 @@ class SimulationResult:
 
     @property
     def utilization(self) -> float:
-        """Fraction of the run the device spent servicing requests."""
+        """Fraction of the run the device spent servicing requests.
+
+        Service times are summed left to right with plain float additions;
+        the built-in ``sum()`` compensates its rounding from Python 3.12
+        on, which would make this value depend on the interpreter version.
+        """
         if self.end_time <= 0:
             raise ValueError("simulation ended at time zero")
-        return sum(self.service_times) / self.end_time
+        busy = 0.0
+        for service in self.service_times:
+            busy += service
+        return busy / self.end_time
 
     def mean_phase_breakdown(self) -> dict:
         """Mean seconds spent per mechanical phase across all accesses.

@@ -1,22 +1,11 @@
-"""Engine behavior: file discovery, parse errors, fingerprints, reports."""
+"""Engine behavior: file discovery and parse errors."""
 
 import os
 
 import pytest
 
-from repro.analysis import (
-    AnalysisReport,
-    analyze_paths,
-    analyze_source,
-    iter_python_files,
-)
-from repro.analysis.findings import (
-    Baseline,
-    Finding,
-    Severity,
-    assign_occurrences,
-    split_new,
-)
+from repro.analysis import analyze_paths, analyze_source, iter_python_files
+from repro.analysis.findings import Severity
 
 
 class TestIterPythonFiles:
@@ -74,85 +63,3 @@ class TestParseError:
         report = analyze_paths([str(tmp_path)], root=str(tmp_path), allowlist={})
         assert report.files_analyzed == 2
         assert sorted(f.rule for f in report.findings) == ["E0", "R1"]
-
-
-class TestFingerprints:
-    SOURCE = "import random\nx = random.random()\n"
-
-    def test_stable_under_line_shift(self):
-        shifted = "# a new leading comment\n\n" + self.SOURCE
-        original = analyze_source(self.SOURCE, path="m.py", allowlist={})
-        moved = analyze_source(shifted, path="m.py", allowlist={})
-        assert [f.rule for f in original] == [f.rule for f in moved] == ["R1"]
-        assert original[0].line != moved[0].line
-        assert original[0].fingerprint == moved[0].fingerprint
-
-    def test_changes_when_line_edited(self):
-        edited = "import random\nx = random.random() + 1\n"
-        original = analyze_source(self.SOURCE, path="m.py", allowlist={})
-        changed = analyze_source(edited, path="m.py", allowlist={})
-        assert original[0].fingerprint != changed[0].fingerprint
-
-    def test_changes_with_path(self):
-        a = analyze_source(self.SOURCE, path="a.py", allowlist={})
-        b = analyze_source(self.SOURCE, path="b.py", allowlist={})
-        assert a[0].fingerprint != b[0].fingerprint
-
-    def test_identical_lines_disambiguated_by_occurrence(self):
-        source = (
-            "import random\n"
-            "x = random.random()\n"
-            "x = random.random()\n"
-        )
-        findings = analyze_source(source, path="m.py", allowlist={})
-        assert [f.occurrence for f in findings] == [0, 1]
-        assert len({f.fingerprint for f in findings}) == 2
-
-
-class TestBaselineWorkflow:
-    def test_round_trip(self, tmp_path):
-        findings = analyze_source(
-            "import random\nx = random.random()\n", path="m.py", allowlist={}
-        )
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).save(str(path))
-        loaded = Baseline.load(str(path))
-        new, baselined = split_new(findings, loaded)
-        assert new == []
-        assert baselined == findings
-
-    def test_new_findings_are_not_baselined(self, tmp_path):
-        old = analyze_source(
-            "import random\nx = random.random()\n", path="m.py", allowlist={}
-        )
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(old).save(str(path))
-        grown = analyze_source(
-            "import random, time\n"
-            "x = random.random()\n"
-            "t = time.time()\n",
-            path="m.py",
-            allowlist={},
-        )
-        new, baselined = split_new(grown, Baseline.load(str(path)))
-        assert [f.rule for f in new] == ["R2"]
-        assert [f.rule for f in baselined] == ["R1"]
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"schema": "something-else/9", "fingerprints": {}}\n')
-        with pytest.raises(ValueError):
-            Baseline.load(str(path))
-
-
-class TestReport:
-    def test_counts_and_severity_split(self):
-        findings = [
-            Finding("R1", Severity.ERROR, "a.py", 1, 0, "m"),
-            Finding("R1", Severity.ERROR, "b.py", 1, 0, "m"),
-            Finding("R5", Severity.WARNING, "a.py", 2, 0, "m"),
-        ]
-        report = AnalysisReport(findings=assign_occurrences(findings), files_analyzed=2)
-        assert report.counts_by_rule() == {"R1": 2, "R5": 1}
-        assert len(report.errors) == 2
-        assert len(report.warnings) == 1

@@ -1,75 +1,7 @@
-"""Suppression directives (`# repro: noqa[...]`) and the path allowlist."""
+"""The path allowlist: whole files exempt from specific rules."""
 
-from repro.analysis import analyze_source, path_allowlisted
+from repro.analysis import all_rules, analyze_source, path_allowlisted
 from repro.analysis.suppress import DEFAULT_ALLOWLIST
-
-RNG_LINE = "import random\nx = random.random()"
-
-
-class TestNoqa:
-    def test_rule_id_suppresses(self):
-        source = RNG_LINE + "  # repro: noqa[R1]\n"
-        assert analyze_source(source, allowlist={}) == []
-
-    def test_slug_suppresses(self):
-        source = RNG_LINE + "  # repro: noqa[unseeded-rng]\n"
-        assert analyze_source(source, allowlist={}) == []
-
-    def test_case_and_separator_tolerant(self):
-        source = RNG_LINE + "  # REPRO: NOQA[r1]\n"
-        assert analyze_source(source, allowlist={}) == []
-
-    def test_justification_text_allowed(self):
-        source = RNG_LINE + "  # repro: noqa[R1] -- demo only\n"
-        assert analyze_source(source, allowlist={}) == []
-
-    def test_multiple_rules(self):
-        source = (
-            "import random, time\n"
-            "x = random.random() + time.time()  # repro: noqa[R1, R2]\n"
-        )
-        assert analyze_source(source, allowlist={}) == []
-
-    def test_bare_noqa_suppresses_everything(self):
-        source = (
-            "import random, time\n"
-            "x = random.random() + time.time()  # repro: noqa\n"
-        )
-        assert analyze_source(source, allowlist={}) == []
-
-    def test_wrong_rule_does_not_suppress(self):
-        source = RNG_LINE + "  # repro: noqa[R2]\n"
-        rules = [f.rule for f in analyze_source(source, allowlist={})]
-        assert "R1" in rules
-
-    def test_unknown_rule_reported_as_r0(self):
-        source = "x = 1  # repro: noqa[R99]\n"
-        findings = analyze_source(source, allowlist={})
-        assert [f.rule for f in findings] == ["R0"]
-        assert "r99" in findings[0].message
-
-    def test_other_lines_unaffected(self):
-        source = (
-            "import random\n"
-            "a = random.random()  # repro: noqa[R1]\n"
-            "b = random.random()\n"
-        )
-        findings = analyze_source(source, allowlist={})
-        assert [(f.rule, f.line) for f in findings] == [("R1", 3)]
-
-    def test_docstring_text_is_not_a_directive(self):
-        source = (
-            '"""Docs mention # repro: noqa[R1] syntax."""\n'
-            "import random\n"
-            "x = random.random()\n"
-        )
-        rules = [f.rule for f in analyze_source(source, allowlist={})]
-        assert rules == ["R1"]
-
-    def test_no_noqa_audit_mode(self):
-        source = RNG_LINE + "  # repro: noqa[R1]\n"
-        findings = analyze_source(source, allowlist={}, respect_noqa=False)
-        assert [f.rule for f in findings] == ["R1"]
 
 
 class TestAllowlist:
@@ -99,4 +31,4 @@ class TestAllowlist:
         assert [f.rule for f in findings] == ["R2"]
 
     def test_default_allowlist_rules_exist(self):
-        assert set(DEFAULT_ALLOWLIST) <= {"R1", "R2", "R3", "R4", "R5", "R6"}
+        assert set(DEFAULT_ALLOWLIST) <= {rule.id for rule in all_rules()}

@@ -193,6 +193,73 @@ class TestPersistentPool:
         parallel_module.shutdown_pool()
 
 
+class TestReusedPoolCarriesNoParentState:
+    """Persistent workers fork once, inside the first map that needs them,
+    and serve every later map.  A work function that read state the parent
+    set up before its map would see whatever the *first* call left there,
+    so a second, different run on the reused pool must equal the same run
+    in-process."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_pool(self):
+        import repro.experiments.parallel as parallel_module
+
+        if effective_workers(2, 4) < 2:
+            pytest.skip("needs two worker processes")
+        parallel_module.shutdown_pool()
+        yield
+        parallel_module.shutdown_pool()
+
+    def test_second_fleet_matches_sequential(self):
+        from repro.fleet import FleetConfig
+        from repro.sim.config import SimConfig
+
+        first = FleetConfig.uniform(
+            4,
+            SimConfig(scheduler="SPTF", warmup=0, max_queue_depth=4000),
+            router="lbn-range",
+            rate=3200.0,
+            num_requests=2000,
+            seed=1,
+        )
+        second = FleetConfig.uniform(
+            4,
+            SimConfig(scheduler="C-LOOK", warmup=40, max_queue_depth=500),
+            router="hash",
+            rate=2400.0,
+            num_requests=1600,
+            seed=7,
+            live_window=0.25,
+        )
+        first.run(jobs=2)
+        reused = second.run(jobs=2).to_dict()
+        assert reused == second.run(jobs=1).to_dict()
+
+    def test_second_sweep_matches_sequential(self):
+        from repro.experiments.common import sweep_sim_configs
+        from repro.sim.config import SimConfig
+
+        first = [
+            SimConfig(scheduler="SPTF", rate=rate, num_requests=500, seed=1)
+            for rate in (500.0, 1000.0, 1500.0, 2000.0)
+        ]
+        second = [
+            SimConfig(
+                device="atlas10k",
+                scheduler="C-LOOK",
+                rate=rate,
+                num_requests=400,
+                seed=9,
+                warmup=50,
+                max_queue_depth=200,
+            )
+            for rate in (60.0, 90.0, 120.0, 150.0)
+        ]
+        sweep_sim_configs(first, jobs=2)
+        reused = sweep_sim_configs(second, jobs=2)
+        assert reused == sweep_sim_configs(second, jobs=1)
+
+
 class TestEffectiveWorkers:
     """``effective_workers`` must predict exactly when ``parallel_map``
     falls back to the in-process loop, so harnesses timing "parallel vs

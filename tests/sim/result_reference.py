@@ -2,7 +2,7 @@
 
 These are the summaries as they were computed when a result was a list
 of :class:`RequestRecord` tuples: ``statistics.fmean`` over per-record
-properties, a left-to-right ``sum`` of service times for utilization, and
+properties, a left-to-right sum of service times for utilization, and
 the percentile interpolation written out over ``sorted``.  The columnar
 result must match them bit for bit.  :func:`columnar` builds the
 columnar result for a record list.
@@ -64,6 +64,15 @@ def percentiles(records, *pcts: float) -> dict:
     }
 
 
+def _left_to_right_sum(values) -> float:
+    """Plain float additions in order: ``sum()`` as it was before Python
+    3.12 started compensating its rounding."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def to_dict(records, end_time: float) -> dict:
     responses = tuple(r.response_time for r in records)
     return {
@@ -78,7 +87,8 @@ def to_dict(records, end_time: float) -> dict:
         "response_time_cv2": squared_coefficient_of_variation(responses),
         "response_time_percentiles_s": percentiles(records),
         "throughput_rps": len(records) / end_time,
-        "utilization": sum(r.service_time for r in records) / end_time,
+        "utilization": _left_to_right_sum(r.service_time for r in records)
+        / end_time,
         "mean_phase_breakdown_s": {
             phase: statistics.fmean(getattr(r.access, phase) for r in records)
             for phase in PHASES

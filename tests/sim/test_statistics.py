@@ -132,3 +132,21 @@ class TestPhaseBreakdown:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             SimulationResult().mean_phase_breakdown()
+
+
+class TestUtilization:
+    def test_sums_service_times_left_to_right(self):
+        # Ten 0.1 s services over 1.0 s.  Plain left-to-right additions give
+        # 0.9999999999999999 on every Python; the built-in sum() gives 1.0
+        # from 3.12 on, which would make --json dumps version-dependent.
+        records = [
+            RequestRecord(
+                request=Request(0.0, lbn=0, sectors=1, kind=IOKind.READ,
+                                request_id=index),
+                dispatch_time=0.0,
+                completion_time=0.1,
+                access=AccessResult(total=0.1),
+            )
+            for index in range(10)
+        ]
+        assert columnar(records, 1.0).utilization == 0.9999999999999999
