@@ -280,7 +280,7 @@ def _run_sweep(jobs, rates, algorithms, num_requests):
 
     start = time.perf_counter()
     sweep = random_workload_sweep(
-        device_factory=lambda: _make_device(True),
+        device="mems",
         algorithms=algorithms,
         rates=rates,
         num_requests=num_requests,
@@ -392,7 +392,7 @@ def _run_sptf_sweep_optimized(rates, num_requests):
 
     start = time.perf_counter()
     sweep = random_workload_sweep(
-        device_factory=lambda: _make_device(True),
+        device="mems",
         algorithms=("SPTF",),
         rates=rates,
         num_requests=num_requests,

@@ -53,7 +53,7 @@ def run(
 ) -> Figure5Result:
     """Regenerate Figure 5's data."""
     sweep = random_workload_sweep(
-        device_factory="atlas10k",
+        device="atlas10k",
         algorithms=algorithms,
         rates=rates,
         num_requests=num_requests,

@@ -16,7 +16,7 @@ observations to reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.core.scheduling import PAPER_ALGORITHMS
 from repro.experiments.common import (
@@ -24,7 +24,7 @@ from repro.experiments.common import (
     format_sweep_table,
     random_workload_sweep,
 )
-from repro.mems import MEMSDevice, MEMSParameters
+from repro.mems import MEMSParameters
 
 DEFAULT_RATES = (200.0, 500.0, 800.0, 1100.0, 1400.0, 1700.0, 2000.0)
 
@@ -59,23 +59,23 @@ def run(
     algorithms: Sequence[str] = PAPER_ALGORITHMS,
     num_requests: int = 6000,
     seed: int = 42,
-    params: Optional[MEMSParameters] = None,
+    device_params: Optional[Mapping[str, Any]] = None,
     jobs: Optional[int] = None,
 ) -> Figure6Result:
-    """Regenerate Figure 6's data (also reused by Figure 8 with different
-    settle settings)."""
-    device_params = params if params is not None else MEMSParameters()
+    """Regenerate Figure 6's data.  ``device_params`` overrides fields of
+    the Table 1 :class:`~repro.mems.MEMSParameters` (Figure 8 reuses this
+    sweep with different settle settings)."""
     sweep = random_workload_sweep(
-        device_factory=lambda: MEMSDevice(device_params),
+        device="mems",
         algorithms=algorithms,
         rates=rates,
         num_requests=num_requests,
         seed=seed,
         jobs=jobs,
+        device_params=device_params,
     )
-    return Figure6Result(
-        sweep=sweep, settle_constants=device_params.settle_constants
-    )
+    settle = MEMSParameters(**(device_params or {})).settle_constants
+    return Figure6Result(sweep=sweep, settle_constants=settle)
 
 
 def main() -> None:

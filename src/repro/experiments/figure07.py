@@ -14,7 +14,7 @@ generators (see DESIGN.md §2); the observations to reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.scheduling import PAPER_ALGORITHMS
 from repro.experiments.common import (
@@ -22,8 +22,7 @@ from repro.experiments.common import (
     format_sweep_table,
     scheduling_sweep,
 )
-from repro.mems import MEMSDevice
-from repro.workloads import CelloLikeWorkload, TPCCLikeWorkload, Trace
+from repro.sim import SimConfig
 
 DEFAULT_SCALES = (1.0, 2.0, 4.0, 8.0, 16.0)
 
@@ -73,29 +72,31 @@ def run(
     seed: int = 42,
     jobs: Optional[int] = None,
 ) -> Figure7Result:
-    """Regenerate Figure 7's data."""
-    sweeps: Dict[str, SweepResult] = {}
-    for name, base_trace in _base_traces(num_requests, seed).items():
+    """Regenerate Figure 7's data.
 
-        def requests_for_scale(device, scale, trace=base_trace):
-            return trace.scale_arrivals(scale).requests
-
+    Every point replays the scale-1 trace of its workload at one scale
+    factor (the workload's ``scale`` parameter), so all algorithms at a
+    scale see the same stream.
+    """
+    sweeps = {}
+    # The generators' scale-1 intensities: Cello bursts/s, TPC-C transactions/s.
+    for name, rate in (("cello", 10.0), ("tpcc", 40.0)):
+        base = SimConfig(
+            device="mems",
+            workload=name,
+            rate=rate,
+            num_requests=num_requests,
+            seed=seed,
+            warmup=200,
+        )
         sweeps[name] = scheduling_sweep(
-            device_factory=MEMSDevice,
-            algorithms=algorithms,
-            xs=scales,
-            requests_for_x=requests_for_scale,
+            [base.replace(workload_params={"scale": scale}) for scale in scales],
+            algorithms,
+            scales,
             x_label="trace scale factor",
             jobs=jobs,
         )
     return Figure7Result(cello=sweeps["cello"], tpcc=sweeps["tpcc"])
-
-
-def _base_traces(num_requests: int, seed: int) -> Dict[str, Trace]:
-    capacity = MEMSDevice().capacity_sectors
-    cello = CelloLikeWorkload(capacity, seed=seed).generate(num_requests)
-    tpcc = TPCCLikeWorkload(capacity, seed=seed).generate(num_requests)
-    return {"cello": cello, "tpcc": tpcc}
 
 
 def main() -> None:

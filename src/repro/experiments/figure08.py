@@ -17,7 +17,6 @@ from typing import Dict, Optional, Sequence
 from repro.core.scheduling import PAPER_ALGORITHMS
 from repro.experiments import figure06
 from repro.experiments.figure06 import Figure6Result
-from repro.mems import MEMSParameters
 
 DEFAULT_SETTLE_CONSTANTS = (0.0, 2.0)
 
@@ -54,13 +53,12 @@ def run(
     """Regenerate Figure 8's data (both panels)."""
     by_settle = {}
     for constants in settle_constants:
-        params = MEMSParameters(settle_constants=constants)
         by_settle[constants] = figure06.run(
             rates=rates,
             algorithms=algorithms,
             num_requests=num_requests,
             seed=seed,
-            params=params,
+            device_params={"settle_constants": constants},
             jobs=jobs,
         )
     return Figure8Result(by_settle=by_settle)

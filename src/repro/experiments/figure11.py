@@ -24,6 +24,7 @@ an oracle organ pipe.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -38,7 +39,6 @@ from repro.core.layout import (
     make_layout,
 )
 from repro.experiments.formatting import format_table
-from repro.mems import MEMSDevice, MEMSParameters
 from repro.sim import DEVICES, IOKind, Request, StorageDevice
 
 SMALL_FRACTION = 0.89  # paper: 89% small requests
@@ -161,14 +161,11 @@ def run(
     fileset = make_fileset(small_blocks, large_files)
     organ_fileset = _noisy_fileset(fileset, popularity_noise, seed)
 
-    # Stock devices come from the registry (one dispatch path with the
-    # CLI/configs); the zero-settle variant is parameterized, so it keeps
-    # a closure.
+    # Every device comes from the registry (one dispatch path with the
+    # CLI/configs), the zero-settle variant through a parameter override.
     devices: Dict[str, Callable[[], StorageDevice]] = {
         "MEMS": DEVICES["mems"],
-        "MEMS-nosettle": lambda: MEMSDevice(
-            MEMSParameters(settle_constants=0.0)
-        ),
+        "MEMS-nosettle": functools.partial(DEVICES["mems"], settle_constants=0.0),
         "Atlas 10K": DEVICES["atlas10k"],
     }
 

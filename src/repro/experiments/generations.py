@@ -14,16 +14,16 @@ the paper's conclusions are design-point-specific:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.core.faults.rmw import rmw_breakdown
-from repro.experiments.common import run_workload
+from repro.experiments.common import run_sim_config
 from repro.experiments.formatting import format_table
 from repro.mems import GENERATIONS, MEMSDevice
-from repro.sim import IOKind, Request
-from repro.workloads import RandomWorkload
+from repro.sim import IOKind, Request, SimConfig
 
 
 @dataclass
@@ -90,17 +90,17 @@ def _sptf_margin(
     The arrival rate is set to 1.25× the unscheduled service rate — past
     FCFS saturation, where seek-aware scheduling carries the load and the
     Fig. 6/8 margins become visible."""
-    rate = 1.25 / mean_service
+    base = SimConfig(
+        device="mems",
+        device_params=dataclasses.asdict(params),
+        rate=1.25 / mean_service,
+        num_requests=num_requests,
+        seed=seed,
+        warmup=num_requests // 10,
+    )
     responses = {}
     for algorithm in ("SSTF_LBN", "SPTF"):
-        device = MEMSDevice(params)
-        workload = RandomWorkload(device.capacity_sectors, rate=rate, seed=seed)
-        result = run_workload(
-            device,
-            algorithm,
-            workload.generate(num_requests),
-            warmup=num_requests // 10,
-        )
+        result = run_sim_config(base.replace(scheduler=algorithm))
         if result is None:
             return float("nan")
         responses[algorithm] = result.mean_response_time

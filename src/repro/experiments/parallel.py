@@ -1,30 +1,23 @@
 """Process-pool execution of embarrassingly-parallel sweep points.
 
-Every point of a scheduling sweep is an independent simulation: a fresh
-device from ``device_factory``, a request stream regenerated from its seed,
-one run to completion.  Nothing is shared between points, so the sweep layer
-parallelizes perfectly — and it is the dominant cost of regenerating the
-paper's Figs. 5–8 and Table 2.
+Every point of a scheduling sweep is an independent simulation: one
+picklable :class:`~repro.sim.SimConfig`, a fresh device, a request stream
+regenerated from its seed, one run to completion.  Nothing is shared
+between points, so the sweep layer parallelizes perfectly — and it is the
+dominant cost of regenerating the paper's Figs. 5–8 and Table 2.  Fleet
+members (``repro.fleet``) ride the same map.
 
-Two pool strategies coexist, picked per call by whether the work function
-can be pickled by reference:
-
-* **Persistent pool** — module-level functions (the fleet's
-  ``_run_member``) go to a long-lived worker pool that is created once and
-  reused across :func:`parallel_map` calls, so repeated fleet runs and
-  sweep invocations stop paying per-call fork+teardown.
-* **Per-call fork** — sweep specs (device factories, request generators)
-  are built from closures that are generally not picklable, so they fall
-  back to a transient ``fork`` pool that receives the work function by
-  inheritance: the parent publishes it in a module global immediately
-  before forking, and workers receive only small picklable task tuples
-  through the queue.
-
-Both are ``fork``-context :class:`concurrent.futures.ProcessPoolExecutor`
-pools.  Tasks and results are pickled: batches and results are a few numpy
-columns each.  A worker that dies fails the call with ``BrokenProcessPool``;
-a call that fails or is interrupted stops its workers at once, and the
-persistent pool is rebuilt by the next call.
+There is one pool: a ``fork``-context
+:class:`concurrent.futures.ProcessPoolExecutor` created by the first
+:func:`parallel_map` call that needs it and reused by every later call,
+so repeated sweeps and fleet runs stop paying per-call fork+teardown.
+The work function and its tasks are pickled to the workers, so the work
+function must be picklable (a module-level function); anything else is a
+``TypeError`` at every job count, raised before any worker forks.
+Batches and results are a few numpy columns each.  A worker that dies
+fails the call with ``BrokenProcessPool``; a call that fails or is
+interrupted stops its workers at once, and the next call rebuilds the
+pool.
 
 On platforms without ``fork`` (or with ``jobs <= 1``) everything runs
 sequentially in-process.
@@ -34,12 +27,12 @@ exactly the same computation either way (same seeds, same float operations),
 and the pool map preserves task order.
 
 Forked workers inherit the parent's modules, so :func:`parallel_map`
-imports numpy in the parent just before either pool path forks: once per
-process, instead of once per worker of every per-call pool.
+imports numpy in the parent just before the pool forks: once per process
+instead of once per worker.
 
 ``--jobs N`` on :mod:`repro.experiments.runner` / ``python -m repro
 experiments`` sets the process-wide default consumed by
-:func:`repro.experiments.common.scheduling_sweep`; without one, the
+:func:`repro.experiments.common.sweep_sim_configs`; without one, the
 ``REPRO_JOBS`` environment variable supplies it, read each time jobs are
 resolved so that a bad value fails the sweep that uses it, not the import.
 """
@@ -53,14 +46,6 @@ import pickle
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.nputil import get_numpy
-
-_POINT_FN: Optional[Callable] = None
-"""Work function inherited by forked pool workers; valid only while a
-:func:`parallel_map` call is forking."""
-
-
-def _run_task(*task) -> object:
-    return _POINT_FN(*task)
 
 
 def fork_available() -> bool:
@@ -90,10 +75,6 @@ def set_default_jobs(jobs: Optional[int]) -> None:
     _default_jobs = jobs
 
 
-def get_default_jobs() -> Optional[int]:
-    return _default_jobs
-
-
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Map an explicit or defaulted ``jobs`` value to a concrete count.
 
@@ -119,36 +100,10 @@ def _env_jobs() -> int:
     raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {text!r}")
 
 
-# -- worker pools ------------------------------------------------------------- #
+# -- the worker pool --------------------------------------------------------- #
 
 _pool = None
 _pool_workers = 0
-
-
-def _fn_picklable(fn: Callable) -> bool:
-    """True when ``fn`` pickles (by reference, for module-level functions).
-
-    Closures and lambdas raise, routing their calls to the per-call fork
-    pool that passes the function by inheritance instead.
-    """
-    try:
-        pickle.dumps(fn)
-    except Exception:
-        return False
-    return True
-
-
-def _new_executor(workers: int):
-    """A ``fork`` executor: a dead worker fails it with ``BrokenProcessPool``
-    (``multiprocessing.Pool`` respawns the worker and waits forever)."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_worker_init,
-        initargs=(os.getpid(),),
-    )
 
 
 def _worker_init(parent: int) -> None:
@@ -176,8 +131,13 @@ def _exit_with(parent: int) -> None:
     os._exit(1)
 
 
-def _stop(executor) -> None:
-    """Stop ``executor`` without waiting for running tasks.
+def shutdown_pool() -> None:
+    """Tear down the persistent worker pool (idempotent), without waiting
+    for running tasks.
+
+    Called at interpreter exit, when a :func:`parallel_map` call needs a
+    different worker count or fails; exposed for tests and long-lived
+    hosts that want to reclaim the workers early.
 
     A worker killed halfway through a message would leave the executor
     blocked on the rest of it (a result, or a task larger than the pipe
@@ -186,43 +146,17 @@ def _stop(executor) -> None:
     broken executor's manager thread closes the call queue itself, racing
     a close from here, so they close first and only on a working one.
     """
-    processes = getattr(executor, "_processes", None) or {}
-    if processes and not executor._broken:
-        executor._result_queue._writer.close()
-        executor._call_queue._reader.close()
+    global _pool, _pool_workers
+    if _pool is None:
+        return
+    pool, _pool, _pool_workers = _pool, None, 0
+    processes = getattr(pool, "_processes", None) or {}
+    if processes and not pool._broken:
+        pool._result_queue._writer.close()
+        pool._call_queue._reader.close()
     for process in list(processes.values()):
         process.terminate()
-    executor.shutdown(wait=True, cancel_futures=True)
-
-
-def _map(executor, fn: Callable, tasks: Sequence[Tuple]) -> List[object]:
-    """``[fn(*task) for task in tasks]`` on ``executor``, in order.
-
-    Workers fork during submission, with SIGINT blocked so that none is
-    interrupted before :func:`_worker_init`; a Ctrl-C pressed meanwhile
-    reaches the parent afterwards.
-    """
-    import signal
-
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        futures = [executor.submit(fn, *task) for task in tasks]
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    return [future.result() for future in futures]
-
-
-def shutdown_pool() -> None:
-    """Tear down the persistent worker pool (idempotent).
-
-    Called at interpreter exit, when a :func:`parallel_map` call needs a
-    different worker count or fails; exposed for tests and long-lived
-    hosts that want to reclaim the workers early.
-    """
-    global _pool, _pool_workers
-    if _pool is not None:
-        pool, _pool, _pool_workers = _pool, None, 0
-        _stop(pool)
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _persistent_pool(workers: int):
@@ -231,13 +165,22 @@ def _persistent_pool(workers: int):
     Worker count is fixed at pool creation, so a call that resolves to a
     different width rebuilds the pool — in practice a process settles on
     one ``--jobs`` value and every call after the first reuses the same
-    workers.
+    workers.  A ``fork`` executor rather than a ``multiprocessing.Pool``:
+    a dead worker fails it with ``BrokenProcessPool``, where the Pool
+    respawns the worker and waits forever.
     """
     global _pool, _pool_workers
     if _pool is not None and _pool_workers != workers:
         shutdown_pool()
     if _pool is None:
-        _pool = _new_executor(workers)
+        from concurrent.futures import ProcessPoolExecutor
+
+        _pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_init,
+            initargs=(os.getpid(),),
+        )
         _pool_workers = workers
         atexit.register(shutdown_pool)
     return _pool
@@ -270,37 +213,44 @@ def parallel_map(
 ) -> List[object]:
     """``[point_fn(*task) for task in tasks]``, fanned out over processes.
 
-    Falls back to the in-process loop when ``jobs`` resolves to 1, when
-    there is at most one task, or when ``fork`` is unavailable; the result
-    list order always matches ``tasks``.
-
-    A picklable ``point_fn`` (any module-level function) runs on the
-    persistent pool; closures fork a transient pool per call (see the
-    module docstring).
-    Both paths compute exactly what the sequential loop would.
+    Runs on the persistent pool (see the module docstring), or in-process
+    when ``jobs`` resolves to 1, when there is at most one task, or when
+    ``fork`` is unavailable; the result list order always matches
+    ``tasks``.  ``point_fn`` must pickle at every job count, so a sweep
+    that works sequentially also works in parallel: a closure or lambda
+    raises ``TypeError`` before anything runs.
 
     The worker count is additionally capped at :func:`available_parallelism`:
     the points are pure CPU work, so oversubscribing cores only adds
     scheduling churn (measured at +55% burned CPU for 4 workers on 1 core)
     without any wall-clock benefit.
     """
-    global _POINT_FN
+    try:
+        pickle.dumps(point_fn)  # by reference, for a module-level function
+    except Exception as exc:
+        raise TypeError(
+            f"parallel_map needs a picklable work function (a module-level "
+            f"function): {exc}"
+        ) from None
     workers = effective_workers(jobs, len(tasks))
     if workers <= 1:
         return [point_fn(*task) for task in tasks]
+    import signal
+
     get_numpy()  # before forking, so no worker imports it again
-    if _fn_picklable(point_fn):
-        try:
-            return _map(_persistent_pool(workers), point_fn, tasks)
-        except BaseException:
-            # A dead worker breaks the pool, and a failed or interrupted
-            # map leaves tasks running in it: the next call starts afresh.
-            shutdown_pool()
-            raise
-    _POINT_FN = point_fn
-    executor = _new_executor(workers)
     try:
-        return _map(executor, _run_task, tasks)
-    finally:
-        _POINT_FN = None
-        _stop(executor)
+        pool = _persistent_pool(workers)
+        # Workers fork during submission, with SIGINT blocked so that none
+        # is interrupted before _worker_init; a Ctrl-C pressed meanwhile
+        # reaches the parent afterwards.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            futures = [pool.submit(point_fn, *task) for task in tasks]
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return [future.result() for future in futures]
+    except BaseException:
+        # A dead worker breaks the pool, and a failed or interrupted map
+        # leaves tasks running in it: the next call starts afresh.
+        shutdown_pool()
+        raise

@@ -94,7 +94,7 @@ stream) stays resident; wholesale clearing keeps the worst case bounded
 without lru_cache's per-hit bookkeeping."""
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _shared_components(params: MEMSParameters):
     """Pure per-parameter-set model components, shared across devices.
 
@@ -105,6 +105,12 @@ def _shared_components(params: MEMSParameters):
     ``MEMSDevice`` per point starts every point with warm caches.  Only
     memoizing devices share (``memoize=False`` builds private, uncached
     components so the benchmark baseline stays honest).
+
+    Only the parameter set in use is kept, because pool workers outlive the
+    sweep that filled their caches.  A caller that needs several sets should
+    finish one before starting the next (figure 8 maps each settle setting
+    separately, figure 9 measures every subregion with one set and then the
+    other): switching sets drops the warm caches.
     """
     geometry = MEMSGeometry(params, cache_size=1 << 16)
     planner = SeekPlanner(params)

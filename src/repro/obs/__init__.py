@@ -53,12 +53,7 @@ from repro.obs.metrics import (
     MetricsTracer,
     replay_metrics,
 )
-from repro.obs.report import (
-    render_comparative,
-    render_report,
-    write_comparative,
-    write_report,
-)
+from repro.obs.report import render_report, write_report
 from repro.obs.spans import (
     Span,
     SpanBuilder,
@@ -126,12 +121,10 @@ __all__ = [
     "merge_live_summaries",
     "parse_slo",
     "read_trace",
-    "render_comparative",
     "render_report",
     "replay_metrics",
     "summarize_spans",
     "validate_events",
     "validate_file",
-    "write_comparative",
     "write_report",
 ]

@@ -1,11 +1,10 @@
 """Deterministic, self-contained HTML/Markdown reports over trace analyses.
 
-Renders a :class:`~repro.obs.analyze.TraceAnalysis` (single run) or a
-labelled sequence of them (comparative, e.g. one per sweep point) into a
-single file with no external assets: latency-attribution tables, unicode
-sparklines for every time-series, and the scheduler dispatch-efficiency
-stats (candidate counts and the SPTF ``candidates_priced``/``pruned``
-split).
+Renders a :class:`~repro.obs.analyze.TraceAnalysis` (a single run, or a
+fleet's merged trace) into a single file with no external assets:
+latency-attribution tables, unicode sparklines for every time-series, and
+the scheduler dispatch-efficiency stats (candidate counts and the SPTF
+``candidates_priced``/``pruned`` split).
 
 Output is **byte-deterministic**: no wall-clock timestamps, all dicts
 iterated in sorted order, every number through one fixed formatter — two
@@ -328,63 +327,11 @@ def render_report(
     return doc.render(fmt_name)
 
 
-def render_comparative(
-    items: Sequence[Tuple[str, "TraceAnalysis"]],
-    fmt_name: str = "html",
-    title: str = "Comparative trace report",
-) -> str:
-    """Comparative report across labelled runs (e.g. one per sweep point).
-
-    Leads with a side-by-side summary table, then includes each run's full
-    sections.
-    """
-    doc = Document(title)
-    doc.heading("overview")
-    headers = ["run", "spans", "mean response (ms)", "mean queue (ms)",
-               "mean service (ms)", "p95 (ms)", "utilization (mean)"]
-    rows = []
-    for label, analysis in items:
-        summary = analysis.summary
-        series = analysis.timeseries
-        utilization = (
-            sum(series.utilization) / len(series.utilization)
-            if len(series) else None
-        )
-        if summary.count:
-            response = analysis.response.to_dict()
-            rows.append([
-                label,
-                fmt(summary.count),
-                fmt_ms(summary.mean_response),
-                fmt_ms(summary.mean_queue),
-                fmt_ms(summary.mean_service),
-                fmt_ms(response["p95"]),
-                fmt(utilization),
-            ])
-        else:
-            rows.append([label, "0", "—", "—", "—", "—", fmt(utilization)])
-    doc.table(headers, rows)
-    for label, analysis in items:
-        _analysis_sections(doc, analysis, label=label)
-    return doc.render(fmt_name)
-
-
 def write_report(
     analysis: "TraceAnalysis", path: str, source: str = "<trace>"
 ) -> None:
     """Write a single-run report; format inferred from ``path``."""
     text = render_report(analysis, format_for_path(path), source=source)
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write(text)
-
-
-def write_comparative(
-    items: Sequence[Tuple[str, "TraceAnalysis"]],
-    path: str,
-    title: str = "Comparative trace report",
-) -> None:
-    """Write a comparative report; format inferred from ``path``."""
-    text = render_comparative(items, format_for_path(path), title=title)
     with open(path, "w", encoding="utf-8") as stream:
         stream.write(text)
 

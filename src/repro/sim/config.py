@@ -10,7 +10,8 @@ diffed, or round-tripped through JSON.
 
 Live objects (an open trace sink, a pre-built device) deliberately stay
 out of the config; builders construct them on the worker that runs the
-config.  ``trace_path`` is the picklable stand-in for a tracer — a live
+config.  ``device_params`` is the picklable stand-in for a parameterized
+device, and ``trace_path`` the one for a tracer — a live
 :class:`~repro.obs.Tracer` can still be passed to :meth:`SimConfig.run`.
 
 The :data:`DEVICES` registry also serves the CLI (``--device``), replacing
@@ -41,32 +42,47 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 DEVICES = Registry("device")
-"""String-keyed registry of device-model factories (no-argument)."""
+"""String-keyed registry of device-model factories.
+
+Each factory takes keyword overrides of its device's parameter dataclass
+(:attr:`SimConfig.device_params`); called with none it builds the stock
+device.
+"""
+
+
+def _override(device: str, base: Any, params: Mapping[str, Any]) -> Any:
+    """``base`` (a parameter dataclass) with ``params`` replaced; an unknown
+    field is a ``ValueError`` naming the device and the field."""
+    check_config_keys(type(base), params, what=f"{device} device_params")
+    return dataclasses.replace(base, **params)
 
 
 @DEVICES.register("mems")
-def _make_mems() -> "StorageDevice":
-    from repro.mems import MEMSDevice
+def _make_mems(**params: Any) -> "StorageDevice":
+    from repro.mems import MEMSDevice, MEMSParameters
 
-    return MEMSDevice()
+    return MEMSDevice(_override("mems", MEMSParameters(), params))
 
 
 @DEVICES.register("atlas10k", aliases=("disk", "atlas-10k"))
-def _make_atlas10k() -> "StorageDevice":
+def _make_atlas10k(**params: Any) -> "StorageDevice":
     from repro.disk import DiskDevice, atlas_10k
 
-    return DiskDevice(atlas_10k())
+    return DiskDevice(_override("atlas10k", atlas_10k(), params))
 
 
-def make_device(name: str) -> "StorageDevice":
-    """Build a registered device model by name."""
+def make_device(
+    name: str, params: Optional[Mapping[str, Any]] = None
+) -> "StorageDevice":
+    """Build a registered device model by name, with ``params`` overriding
+    fields of its parameter dataclass."""
     try:
         factory = DEVICES[name]
     except KeyError as exc:
         # Reuse the registry's message: it lists registered names and adds
         # a did-you-mean suggestion for near-miss spellings.
         raise ValueError(exc.args[0]) from None
-    return factory()
+    return factory(**(params or {}))
 
 
 WORKLOADS = Registry("workload")
@@ -159,6 +175,11 @@ class SimConfig:
             (:class:`~repro.obs.live.SLOSpec`) evaluated by the same fold;
             violations become ``slo.violation`` trace events.  Any
             sequence is accepted and normalized to a tuple.
+        device_params: Overrides of the device's parameter dataclass,
+            e.g. ``{"settle_constants": 0.0}`` for ``mems``
+            (:class:`~repro.mems.MEMSParameters`); an unknown field makes
+            :meth:`build_device` raise ``ValueError`` naming the device
+            and the field.
         scheduler_params: Keyword options for the scheduler factory, e.g.
             ``{"age_weight": 0.02}`` for ASPTF or
             ``{"sectors_per_cylinder": 2700}`` for SXTF.  Only the options
@@ -181,6 +202,7 @@ class SimConfig:
     trace_sample: Optional[int] = None
     live_window: Optional[float] = None
     slos: Tuple[SLOSpec, ...] = ()
+    device_params: Dict[str, Any] = field(default_factory=dict)
     scheduler_params: Dict[str, Any] = field(default_factory=dict)
     workload_params: Dict[str, Any] = field(default_factory=dict)
 
@@ -207,7 +229,7 @@ class SimConfig:
     # -- builders ----------------------------------------------------------- #
 
     def build_device(self) -> "StorageDevice":
-        return make_device(self.device)
+        return make_device(self.device, self.device_params)
 
     def build_scheduler(self, device: "StorageDevice"):
         from repro.core.scheduling import make_scheduler
@@ -336,21 +358,22 @@ class SimConfig:
 
 
 def check_config_keys(
-    config_cls: type, data: Mapping[str, Any]
+    config_cls: type, data: Mapping[str, Any], what: Optional[str] = None
 ) -> Dict[str, Any]:
     """Validate ``data``'s keys against a config dataclass's fields.
 
     Returns a plain ``dict`` copy safe to splat into the constructor;
     raises ``ValueError`` naming the first unknown key, the closest field
     name (``difflib``, same cutoff as :meth:`Registry.suggest`), and the
-    known-field list.  Shared by :meth:`SimConfig.from_dict` and
-    :meth:`repro.fleet.FleetConfig.from_dict`.
+    known-field list.  ``what`` names the fields in the message (default:
+    the class name).  Shared by :meth:`SimConfig.from_dict`,
+    :meth:`repro.fleet.FleetConfig.from_dict` and the device factories.
     """
     names = [f.name for f in dataclasses.fields(config_cls)]
     for key in data:
         if key in names:
             continue
-        message = f"unknown {config_cls.__name__} field: {key!r}"
+        message = f"unknown {what or config_cls.__name__} field: {key!r}"
         matches = difflib.get_close_matches(str(key), names, n=1, cutoff=0.6)
         if matches:
             message += f" (did you mean {matches[0]!r}?)"

@@ -47,6 +47,9 @@ class CelloLikeWorkload:
         hot_fraction: Fraction of accesses hitting the metadata/log region.
         footprint_fraction: Fraction of the device the trace touches.
         seed: RNG seed.
+        scale: Trace scale factor (paper footnote 2): the scale-1 stream
+            is generated, then :meth:`Trace.scale_arrivals` divides its
+            inter-arrival times by ``scale``.
     """
 
     def __init__(
@@ -58,6 +61,7 @@ class CelloLikeWorkload:
         hot_fraction: float = 0.4,
         footprint_fraction: float = 0.35,
         seed: Optional[int] = None,
+        scale: float = 1.0,
     ) -> None:
         if capacity_sectors < 1024:
             raise ValueError(f"device too small: {capacity_sectors}")
@@ -67,6 +71,8 @@ class CelloLikeWorkload:
             raise ValueError("fractions must lie in [0, 1]")
         if not 0 < footprint_fraction <= 1:
             raise ValueError(f"bad footprint fraction: {footprint_fraction}")
+        if not scale > 0:
+            raise ValueError(f"non-positive scale factor: {scale}")
         self.capacity_sectors = capacity_sectors
         self.burst_rate = burst_rate
         self.mean_burst_length = mean_burst_length
@@ -74,6 +80,7 @@ class CelloLikeWorkload:
         self.hot_fraction = hot_fraction
         self.footprint = max(1024, int(capacity_sectors * footprint_fraction))
         self.seed = seed
+        self.scale = scale
         # Metadata/log region: the first 2 % of the footprint.
         self.hot_region_sectors = max(256, self.footprint // 50)
 
@@ -126,7 +133,8 @@ class CelloLikeWorkload:
                 )
             clock = burst_time
         requests.sort(key=lambda r: (r.arrival_time, r.request_id))
-        return Trace(name="cello-like", requests=requests[:count])
+        trace = Trace(name="cello-like", requests=requests[:count])
+        return trace if self.scale == 1.0 else trace.scale_arrivals(self.scale)
 
     def generate_batch(self, count: int):
         """Columnar view of :meth:`generate`.

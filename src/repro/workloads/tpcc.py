@@ -52,6 +52,9 @@ class TPCCLikeWorkload:
             tables); concurrent transactions collide on these, creating the
             close-LBN pending sets.
         seed: RNG seed.
+        scale: Trace scale factor (paper footnote 2): the scale-1 stream
+            is generated, then :meth:`Trace.scale_arrivals` divides its
+            inter-arrival times by ``scale``.
     """
 
     def __init__(
@@ -63,6 +66,7 @@ class TPCCLikeWorkload:
         database_sectors: int = 2_000_000,
         hot_clusters: int = 64,
         seed: Optional[int] = None,
+        scale: float = 1.0,
     ) -> None:
         if capacity_sectors < 4096:
             raise ValueError(f"device too small: {capacity_sectors}")
@@ -72,6 +76,8 @@ class TPCCLikeWorkload:
             raise ValueError(f"bad write fraction: {write_fraction}")
         if hot_clusters < 1:
             raise ValueError(f"need at least one cluster: {hot_clusters}")
+        if not scale > 0:
+            raise ValueError(f"non-positive scale factor: {scale}")
         self.capacity_sectors = capacity_sectors
         self.transaction_rate = transaction_rate
         self.pages_per_transaction = pages_per_transaction
@@ -79,6 +85,7 @@ class TPCCLikeWorkload:
         self.database_sectors = min(database_sectors, capacity_sectors)
         self.hot_clusters = hot_clusters
         self.seed = seed
+        self.scale = scale
 
     def generate(self, count: int) -> Trace:
         """Produce a trace of ``count`` page accesses."""
@@ -123,7 +130,8 @@ class TPCCLikeWorkload:
                     )
                 )
         requests.sort(key=lambda r: (r.arrival_time, r.request_id))
-        return Trace(name="tpcc-like", requests=requests[:count])
+        trace = Trace(name="tpcc-like", requests=requests[:count])
+        return trace if self.scale == 1.0 else trace.scale_arrivals(self.scale)
 
     def generate_batch(self, count: int):
         """Columnar view of :meth:`generate`.

@@ -5,45 +5,47 @@ import pytest
 from repro.experiments.common import (
     SweepPoint,
     random_workload_sweep,
-    run_workload,
+    run_sim_config,
     scheduling_sweep,
-    service_time_loop,
+    sweep_sim_configs,
 )
-from repro.mems import MEMSDevice
-from repro.sim import IOKind, Request
-from repro.workloads import RandomWorkload
+from repro.sim import QueueOverflowError, SimConfig
 
 
 class TestRunWorkload:
+    """One workload run through ``run_sim_config``, the unit every sweep
+    point is made of.  ``TestSimConfigSweep`` checks that it returns
+    ``None`` on overflow and a result otherwise; these check that it is
+    ``SimConfig.run`` in every other respect."""
+
     def test_returns_result(self):
-        device = MEMSDevice()
-        requests = RandomWorkload(
-            device.capacity_sectors, rate=200, seed=1
-        ).generate(100)
-        result = run_workload(device, "FCFS", requests)
-        assert result is not None and len(result) == 100
+        config = SimConfig(scheduler="FCFS", rate=200, num_requests=100, seed=1)
+        assert run_sim_config(config).records == config.run().records
 
     def test_saturation_returns_none(self):
-        device = MEMSDevice()
-        requests = RandomWorkload(
-            device.capacity_sectors, rate=100_000, seed=1
-        ).generate(300)
-        result = run_workload(device, "FCFS", requests, max_queue_depth=50)
-        assert result is None
+        # The None stands for the overflow SimConfig.run raises, nothing else.
+        config = SimConfig(
+            scheduler="FCFS",
+            rate=100_000,
+            num_requests=300,
+            seed=1,
+            max_queue_depth=50,
+        )
+        with pytest.raises(QueueOverflowError):
+            config.run()
+        assert run_sim_config(config) is None
 
     def test_warmup_dropped(self):
-        device = MEMSDevice()
-        requests = RandomWorkload(
-            device.capacity_sectors, rate=200, seed=1
-        ).generate(100)
-        result = run_workload(device, "FCFS", requests, warmup=40)
-        assert len(result) == 60
+        config = SimConfig(
+            scheduler="FCFS", rate=200, num_requests=100, seed=1, warmup=40
+        )
+        assert len(run_sim_config(config)) == 60
 
 
 class TestSweeps:
     def test_sweep_structure(self):
         sweep = random_workload_sweep(
-            device_factory=MEMSDevice,
+            device="mems",
             algorithms=("FCFS", "SPTF"),
             rates=(100.0, 300.0),
             num_requests=80,
@@ -60,7 +62,7 @@ class TestSweeps:
 
     def test_saturated_point_marked(self):
         sweep = random_workload_sweep(
-            device_factory=MEMSDevice,
+            device="mems",
             algorithms=("FCFS",),
             rates=(100_000.0,),
             num_requests=300,
@@ -70,57 +72,50 @@ class TestSweeps:
         )
         assert sweep.series["FCFS"][0].saturated
 
-    def test_custom_requests_for_x(self):
-        def requests_for_x(device, x):
-            return [
-                Request(i * 0.01, lbn=int(x), sectors=1, kind=IOKind.READ,
-                        request_id=i)
-                for i in range(20)
-            ]
-
-        sweep = scheduling_sweep(
-            device_factory=MEMSDevice,
-            algorithms=("FCFS",),
-            xs=(0.0, 1000.0),
-            requests_for_x=requests_for_x,
-            x_label="lbn",
-            warmup=0,
-        )
-        assert len(sweep.series["FCFS"]) == 2
-
-
-class TestServiceTimeLoop:
-    def test_returns_per_request_times(self):
-        device = MEMSDevice()
-        requests = [
-            Request(0.0, lbn=i * 1000, sectors=8, kind=IOKind.READ,
-                    request_id=i)
-            for i in range(10)
+    def test_points_plot_at_the_callers_xs(self):
+        base = SimConfig(workload="cello", rate=10.0, num_requests=120)
+        configs = [
+            base.replace(workload_params={"scale": scale}) for scale in (1, 4)
         ]
-        times = service_time_loop(device, requests)
-        assert len(times) == 10
-        assert all(t > 0 for t in times)
+        sweep = scheduling_sweep(
+            configs, ("FCFS", "SPTF"), (1.0, 4.0), x_label="trace scale factor"
+        )
+        assert sweep.x_label == "trace scale factor"
+        assert sweep.xs() == [1.0, 4.0]
+        by_config = sweep_sim_configs(
+            [config.replace(scheduler="SPTF") for config in configs]
+        )
+        assert [point.x for point in by_config] == [10.0, 10.0]  # the rates
+        assert [point.mean_response_time for point in sweep.series["SPTF"]] == [
+            point.mean_response_time for point in by_config
+        ]
+
+    def test_xs_must_match_configs(self):
+        with pytest.raises(ValueError):
+            scheduling_sweep(
+                [SimConfig(num_requests=10)], ("FCFS",), (1.0, 2.0), "x"
+            )
 
 
 class TestSimConfigSweep:
-    def test_registry_name_path_matches_callable_path(self):
-        from repro.experiments.common import random_workload_sweep
-
+    def test_device_params_reach_the_device(self):
         kwargs = dict(
             algorithms=("FCFS", "SPTF"),
             rates=(300.0, 600.0),
             num_requests=250,
             warmup=25,
         )
-        by_name = random_workload_sweep(device_factory="mems", **kwargs)
-        by_callable = random_workload_sweep(device_factory=MEMSDevice, **kwargs)
-        assert by_name.series == by_callable.series
-        assert by_name.x_label == by_callable.x_label
+        stock = random_workload_sweep(device="mems", **kwargs)
+        same = random_workload_sweep(
+            device="mems", device_params={"settle_constants": 1.0}, **kwargs
+        )
+        damped = random_workload_sweep(
+            device="mems", device_params={"settle_constants": 0.0}, **kwargs
+        )
+        assert stock.series == same.series
+        assert damped.series != stock.series
 
     def test_run_sim_config_maps_overflow_to_none(self):
-        from repro.experiments.common import run_sim_config
-        from repro.sim import SimConfig
-
         saturating = SimConfig(
             scheduler="FCFS",
             rate=1e6,
@@ -131,9 +126,6 @@ class TestSimConfigSweep:
         assert run_sim_config(SimConfig(num_requests=50)) is not None
 
     def test_sweep_sim_configs(self):
-        from repro.experiments.common import sweep_sim_configs
-        from repro.sim import SimConfig
-
         base = SimConfig(num_requests=150, warmup=10)
         points = sweep_sim_configs(
             [base.replace(rate=rate) for rate in (200.0, 400.0)]

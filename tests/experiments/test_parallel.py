@@ -8,27 +8,47 @@ the sequential loop — these tests pin that, plus the job-count plumbing.
 
 import pytest
 
-from repro.disk.atlas10k import atlas_10k
-from repro.disk.device import DiskDevice
+import repro.experiments.parallel as parallel_module
 from repro.experiments.common import random_workload_sweep
 from repro.experiments.parallel import (
     available_parallelism,
     effective_workers,
     fork_available,
-    get_default_jobs,
     parallel_map,
     resolve_jobs,
     set_default_jobs,
 )
-from repro.mems.device import MEMSDevice
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="needs the fork start method"
 )
 
+CALLS = []
+"""What :func:`_record` saw; only an in-process run appends here."""
+
 
 def _square(x):
     return x * x
+
+
+def _record(x):
+    CALLS.append(x)
+    return x
+
+
+@pytest.fixture
+def calls():
+    CALLS.clear()
+    yield CALLS
+    CALLS.clear()
+
+
+@pytest.fixture
+def default_jobs():
+    """Restore the process-wide default job count after the test."""
+    old = parallel_module._default_jobs
+    yield
+    set_default_jobs(old)
 
 
 def _batch_checksum(batch):
@@ -52,8 +72,6 @@ class TestParallelMap:
     def test_pool_path_matches_sequential_order(self, monkeypatch):
         # Force the pool even on single-core machines (parallel_map caps
         # workers at the machine's parallelism).
-        import repro.experiments.parallel as parallel_module
-
         monkeypatch.setattr(
             parallel_module, "available_parallelism", lambda: 4
         )
@@ -62,29 +80,20 @@ class TestParallelMap:
             x * x for x in range(20)
         ]
 
-    def test_single_job_runs_in_process(self):
-        calls = []
-
-        def record(x):
-            calls.append(x)
-            return x
-
-        assert parallel_map(record, [(1,), (2,)], jobs=1) == [1, 2]
-        assert calls == [1, 2]  # closures only work in-process
+    def test_single_job_runs_in_process(self, calls):
+        assert parallel_map(_record, [(1,), (2,)], jobs=1) == [1, 2]
+        assert calls == [1, 2]  # seen by this process, not a worker
 
     def test_rejects_bad_job_counts(self):
         with pytest.raises(ValueError):
             resolve_jobs(0)
 
-    def test_default_jobs_round_trip(self):
-        old = get_default_jobs()
-        try:
-            set_default_jobs(3)
-            assert resolve_jobs(None) == 3
-            set_default_jobs(None)
-            assert resolve_jobs(None) == 1
-        finally:
-            set_default_jobs(old)
+    def test_default_jobs_round_trip(self, default_jobs, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        set_default_jobs(3)
+        assert resolve_jobs(None) == 3
+        set_default_jobs(None)
+        assert resolve_jobs(None) == 1
 
     def test_available_parallelism_positive(self):
         assert available_parallelism() >= 1
@@ -95,11 +104,8 @@ class TestReproJobsEnvironment:
     a value that is not a positive integer is an error, not a silent 1."""
 
     @pytest.fixture(autouse=True)
-    def _no_default(self):
-        old = get_default_jobs()
+    def _no_default(self, default_jobs):
         set_default_jobs(None)
-        yield
-        set_default_jobs(old)
 
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_bad_value_names_the_variable(self, monkeypatch, value):
@@ -129,8 +135,6 @@ class TestPersistentPool:
 
     @pytest.fixture(autouse=True)
     def _fresh_pool(self, monkeypatch):
-        import repro.experiments.parallel as parallel_module
-
         monkeypatch.setattr(
             parallel_module, "available_parallelism", lambda: 2
         )
@@ -139,8 +143,6 @@ class TestPersistentPool:
         parallel_module.shutdown_pool()
 
     def test_pool_is_reused_across_calls(self):
-        import repro.experiments.parallel as parallel_module
-
         tasks = [(x,) for x in range(4)]
         assert parallel_map(_square, tasks, jobs=2) == [0, 1, 4, 9]
         first = parallel_module._pool
@@ -149,8 +151,6 @@ class TestPersistentPool:
         assert parallel_module._pool is first
 
     def test_pool_rebuilt_on_width_change(self, monkeypatch):
-        import repro.experiments.parallel as parallel_module
-
         monkeypatch.setattr(
             parallel_module, "available_parallelism", lambda: 4
         )
@@ -162,14 +162,16 @@ class TestPersistentPool:
         assert parallel_module._pool is not first
         assert parallel_module._pool_workers == 3
 
-    def test_closures_fall_back_to_transient_pool(self):
-        import repro.experiments.parallel as parallel_module
-
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unpicklable_function_is_a_type_error(self, jobs):
         offset = 7
         tasks = [(x,) for x in range(6)]
-        result = parallel_map(lambda x: x + offset, tasks, jobs=2)
-        assert result == [x + 7 for x in range(6)]
-        assert parallel_module._pool is None  # never touched
+        with pytest.raises(TypeError, match="picklable work function"):
+            parallel_map(lambda x: x + offset, tasks, jobs=jobs)
+        assert parallel_module._pool is None  # raised before any fork
+        assert parallel_map(_square, tasks, jobs=jobs) == [
+            x * x for x in range(6)
+        ]
 
     def test_batch_crosses_the_process_boundary(self):
         from repro.sim.batch import RequestBatch
@@ -187,8 +189,6 @@ class TestPersistentPool:
         assert all(isinstance(batch, RequestBatch) for batch in batches)
 
     def test_shutdown_is_idempotent(self):
-        import repro.experiments.parallel as parallel_module
-
         parallel_module.shutdown_pool()
         parallel_module.shutdown_pool()
 
@@ -202,8 +202,6 @@ class TestReusedPoolCarriesNoParentState:
 
     @pytest.fixture(autouse=True)
     def _fresh_pool(self):
-        import repro.experiments.parallel as parallel_module
-
         if effective_workers(2, 4) < 2:
             pytest.skip("needs two worker processes")
         parallel_module.shutdown_pool()
@@ -266,8 +264,6 @@ class TestEffectiveWorkers:
     sequential" can skip the redundant leg instead of measuring jitter."""
 
     def test_caps_at_task_count(self, monkeypatch):
-        import repro.experiments.parallel as parallel_module
-
         monkeypatch.setattr(
             parallel_module, "available_parallelism", lambda: 8
         )
@@ -275,8 +271,6 @@ class TestEffectiveWorkers:
         assert parallel_module.effective_workers(4, tasks=100) == 4
 
     def test_caps_at_machine_parallelism(self, monkeypatch):
-        import repro.experiments.parallel as parallel_module
-
         monkeypatch.setattr(
             parallel_module, "available_parallelism", lambda: 1
         )
@@ -290,26 +284,16 @@ class TestEffectiveWorkers:
     def test_no_tasks(self):
         assert effective_workers(4, tasks=0) == 0
 
-    def test_resolves_default_jobs(self):
-        old = get_default_jobs()
-        try:
-            set_default_jobs(1)
-            assert effective_workers(None, tasks=100) == 1
-        finally:
-            set_default_jobs(old)
+    def test_resolves_default_jobs(self, default_jobs):
+        set_default_jobs(1)
+        assert effective_workers(None, tasks=100) == 1
 
-    def test_matches_parallel_map_fallback(self, monkeypatch):
+    def test_matches_parallel_map_fallback(self, calls):
         # Whenever effective_workers says 1, parallel_map must run the
-        # closure in-process (observable through shared mutable state).
-        calls = []
-
-        def record(x):
-            calls.append(x)
-            return x
-
+        # work function in-process (observable through module state).
         tasks = [(1,), (2,), (3,)]
         if effective_workers(1, len(tasks)) == 1:
-            parallel_map(record, tasks, jobs=1)
+            parallel_map(_record, tasks, jobs=1)
             assert calls == [1, 2, 3]
 
 
@@ -317,7 +301,7 @@ class TestEffectiveWorkers:
 class TestSweepDeterminism:
     def test_mems_sweep_identical_with_jobs(self):
         kwargs = dict(
-            device_factory=lambda: MEMSDevice(),
+            device="mems",
             algorithms=("FCFS", "SPTF"),
             rates=(300.0, 900.0),
             num_requests=400,
@@ -329,7 +313,7 @@ class TestSweepDeterminism:
 
     def test_disk_sweep_identical_with_jobs(self):
         kwargs = dict(
-            device_factory=lambda: DiskDevice(atlas_10k()),
+            device="atlas10k",
             algorithms=("C-LOOK", "SPTF"),
             rates=(100.0, 250.0),
             num_requests=300,
@@ -338,3 +322,15 @@ class TestSweepDeterminism:
         sequential = random_workload_sweep(jobs=1, **kwargs)
         parallel = random_workload_sweep(jobs=4, **kwargs)
         assert sequential.series == parallel.series
+
+    def test_figure7_identical_with_jobs(self):
+        from repro.experiments import figure07
+
+        kwargs = dict(
+            scales=(2.0, 8.0), algorithms=("C-LOOK", "SPTF"), num_requests=500
+        )
+        sequential = figure07.run(jobs=1, **kwargs)
+        parallel = figure07.run(jobs=2, **kwargs)
+        assert sequential.cello.series == parallel.cello.series
+        assert sequential.tpcc.series == parallel.tpcc.series
+        assert sequential.cello.xs() == [2.0, 8.0]

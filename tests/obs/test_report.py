@@ -1,4 +1,4 @@
-"""Report rendering: determinism, both formats, sparklines, comparative."""
+"""Report rendering: determinism, both formats, sparklines."""
 
 import pytest
 
@@ -9,11 +9,9 @@ from repro.obs.report import (
     fmt,
     fmt_ms,
     format_for_path,
-    render_comparative,
     render_report,
     render_runner_report,
     sparkline,
-    write_comparative,
     write_report,
 )
 from repro.obs.tracer import RingBufferTracer
@@ -84,20 +82,6 @@ class TestFormats:
         assert out.read_text(encoding="utf-8") == render_report(
             analysis, "md", source="run.jsonl"
         )
-
-
-class TestComparative:
-    def test_overview_plus_sections(self, analysis, tmp_path):
-        other = analyze_events(iter(run_events(seed=22)))
-        items = [("rate=650 a", analysis), ("rate=650 b", other)]
-        md = render_comparative(items, "md", title="Sweep")
-        assert md.startswith("# Sweep")
-        assert "## overview" in md
-        assert "rate=650 a — run summary" in md
-        assert "rate=650 b — run summary" in md
-        out = tmp_path / "sweep.html"
-        write_comparative(items, str(out), title="Sweep")
-        assert "<h1>Sweep</h1>" in out.read_text(encoding="utf-8")
 
 
 class TestSparkline:

@@ -41,6 +41,25 @@ class TestDeviceRegistry:
     def test_fresh_instance_per_call(self):
         assert make_device("mems") is not make_device("mems")
 
+    def test_params_override_the_parameter_set(self):
+        from repro.disk import atlas_10k
+        from repro.mems import MEMSParameters
+
+        mems = make_device("mems", {"settle_constants": 2.0})
+        assert mems.params == MEMSParameters(settle_constants=2.0)
+        disk = make_device("atlas10k", {"rpm": 7200.0})
+        assert disk.params.rpm == 7200.0
+        assert disk.params.zones == atlas_10k().zones
+
+    @pytest.mark.parametrize("name", ["mems", "atlas10k"])
+    def test_unknown_param_names_device_and_field(self, name):
+        with pytest.raises(ValueError) as caught:
+            make_device(name, {"warp_factor": 9})
+        message = str(caught.value)
+        assert message.startswith(
+            f"unknown {name} device_params field: 'warp_factor'"
+        )
+
 
 class TestWorkloadRegistry:
     def test_names(self):
@@ -222,6 +241,24 @@ class TestFromDict:
         config = SimConfig(rate=1600.0, max_queue_depth=None)
         restored = SimConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert restored == config
+
+    def test_device_params_round_trip(self):
+        import json
+
+        config = SimConfig(
+            device_params={"settle_constants": 0.0, "active_tips": 640},
+            num_requests=200,
+        )
+        data = json.loads(json.dumps(config.to_dict()))
+        assert data["device_params"] == {
+            "settle_constants": 0.0, "active_tips": 640
+        }
+        restored = SimConfig.from_dict(data)
+        assert restored == config
+        assert restored.build_device().params == config.build_device().params
+        assert restored.run().columns["completion"].tolist() == (
+            config.run().columns["completion"].tolist()
+        )
 
     def test_unknown_key_suggests(self):
         with pytest.raises(ValueError, match="did you mean 'scheduler'"):

@@ -242,6 +242,39 @@ class TestConfigFlag:
         )
 
 
+    def test_simulate_config_device_params(self, tmp_path, capsys):
+        import json
+
+        from repro.sim import SimConfig
+
+        path = tmp_path / "sim.json"
+        config = SimConfig(
+            device_params={"settle_constants": 0.0},
+            rate=900.0,
+            num_requests=300,
+            warmup=30,
+        )
+        path.write_text(json.dumps(config.to_dict()))
+        assert main(["simulate", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        mean = config.run().mean_response_time
+        assert f"  mean response : {mean * 1e3:9.3f} ms" in out
+        stock = config.replace(device_params={}).run().mean_response_time
+        assert f"{stock * 1e3:9.3f}" != f"{mean * 1e3:9.3f}"
+
+    def test_simulate_config_unknown_device_param(self, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text('{"device_params": {"settle_constnts": 0.0}}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            "error: unknown mems device_params field: 'settle_constnts' "
+            "(did you mean 'settle_constants'?)"
+        )
+
+
 class TestFleetCommand:
     def test_uniform_fleet_from_flags(self, capsys):
         code = main([

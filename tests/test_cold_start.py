@@ -51,18 +51,13 @@ def test_cli_import_loads_neither_scipy_nor_numpy():
     reason="needs fork and at least two CPUs for a real pool",
 )
 def test_pool_workers_start_with_numpy_loaded():
-    # One closure (the per-call fork pool) and one module-level function
-    # (the persistent pool); each task reports whether numpy was already
-    # imported when it started.
+    # Each task reports whether numpy was already imported when it started.
     out = _run(
         "import sys\n"
         "from repro.experiments.parallel import parallel_map\n"
         "assert 'numpy' not in sys.modules\n"
         "def loaded(task):\n"
         "    return 'numpy' in sys.modules\n"
-        "closure = lambda task: loaded(task)\n"
-        "tasks = [(i,) for i in range(4)]\n"
-        "print(parallel_map(closure, tasks, jobs=2)"
-        " + parallel_map(loaded, tasks, jobs=2))\n"
+        "print(parallel_map(loaded, [(i,) for i in range(4)], jobs=2))\n"
     )
-    assert out == str([True] * 8)
+    assert out == str([True] * 4)

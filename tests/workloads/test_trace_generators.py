@@ -104,3 +104,34 @@ class TestTPCCLike:
             TPCCLikeWorkload(CAPACITY, transaction_rate=0)
         with pytest.raises(ValueError):
             TPCCLikeWorkload(CAPACITY, hot_clusters=0)
+
+
+@pytest.mark.parametrize("generator", [CelloLikeWorkload, TPCCLikeWorkload])
+class TestScale:
+    """``scale`` replays the scale-1 stream with inter-arrival times divided
+    by the factor (paper footnote 2), through config data alone."""
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 16.0])
+    def test_equals_scale_arrivals_bit_for_bit(self, generator, scale):
+        unscaled = generator(CAPACITY, seed=3).generate(800)
+        scaled = generator(CAPACITY, seed=3, scale=scale).generate(800)
+        assert scaled.requests == unscaled.scale_arrivals(scale).requests
+        batch = generator(CAPACITY, seed=3, scale=scale).generate_batch(800)
+        assert batch.to_requests() == scaled.requests
+
+    def test_reaches_the_workload_through_config(self, generator):
+        from repro.sim import SimConfig
+
+        name = "cello" if generator is CelloLikeWorkload else "tpcc"
+        config = SimConfig(
+            workload=name, rate=20.0, num_requests=300, workload_params={"scale": 4.0}
+        )
+        batch = config.build_requests(config.build_device())
+        rate = {"cello": "burst_rate", "tpcc": "transaction_rate"}[name]
+        expected = generator(CAPACITY, seed=42, **{rate: 20.0}).generate(300)
+        assert batch.to_requests() == expected.scale_arrivals(4.0).requests
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_non_positive_scale_rejected(self, generator, scale):
+        with pytest.raises(ValueError, match="scale factor"):
+            generator(CAPACITY, scale=scale)
