@@ -14,12 +14,57 @@ positioning oracle.
 from __future__ import annotations
 
 import functools
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.disk.geometry import DiskAddress, DiskGeometry
+from repro.disk.geometry import DiskGeometry
 from repro.disk.parameters import DiskParameters, SeekCurve
 from repro.sim.device import StorageDevice
 from repro.sim.request import AccessResult, IOKind, Request
+
+_Profile = Tuple[Tuple[int, int, float, float], ...]
+"""A request's per-track segments in LBN order, each ``(cylinder, surface,
+sector_angle, transfer)``: where the head must be, the platter angle at
+which the segment's first sector arrives (a fraction of a revolution), and
+the media transfer time of its sectors.  All four depend only on the
+request address, never on the head position or the time."""
+
+
+def _build_profile(geometry: DiskGeometry, lbn: int, sectors: int) -> _Profile:
+    """Resolve the state-independent geometry of one request (raises
+    ``ValueError`` when it does not fit on the disk)."""
+    rev = geometry.params.revolution_time
+    return tuple(
+        (
+            address.cylinder,
+            address.surface,
+            geometry.sector_angle(address),
+            count / geometry.sectors_per_track(address.cylinder) * rev,
+        )
+        for address, count in geometry.segments(lbn, sectors)
+    )
+
+
+_PROFILE_CACHE_LIMIT = 1 << 17
+"""Entry cap on the shared request-profile memo (cleared when exceeded),
+the same cap as the MEMS device's."""
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_components(
+    params: DiskParameters,
+) -> Tuple[DiskGeometry, Dict[Tuple[int, int], _Profile]]:
+    """The geometry and the ``(lbn, sectors) → profile`` memo, shared by
+    every memoizing device built from ``params``.
+
+    A sweep builds a fresh device per point, and every point of a random
+    workload sweep offers the same ``(lbn, sectors)`` column (the workload
+    draws addresses and sizes from their own seed streams, independent of
+    the rate), so sharing lets every point after the first start warm.
+    Only the parameter set in use is kept, because pool workers outlive
+    the sweep that filled the memo.  Neither component refers back to a
+    device, so a dropped device is freed by reference counting.
+    """
+    return DiskGeometry(params), {}
 
 
 @functools.lru_cache(maxsize=16)
@@ -54,6 +99,15 @@ def seek_lower_bounds(curve: SeekCurve, cylinders: int) -> Tuple[float, ...]:
 class DiskDevice(StorageDevice):
     """Simulation model of one conventional disk drive.
 
+    Args:
+        params: Drive design point.
+        memoize: Share the geometry and the request-profile memo with every
+            other memoizing device built from equal ``params``
+            (:func:`_shared_components`).  Results are identical either
+            way (a profile is a pure function of the request address);
+            ``False`` rebuilds the profile on every call.  Nothing keyed
+            on the head position or the time is memoized.
+
     Example:
         >>> from repro.disk.atlas10k import atlas_10k
         >>> disk = DiskDevice(atlas_10k())
@@ -66,24 +120,25 @@ class DiskDevice(StorageDevice):
 
     def __init__(self, params: DiskParameters, memoize: bool = True) -> None:
         self.params = params
-        self.geometry = DiskGeometry(
-            params, cache_size=(1 << 16) if memoize else 0
-        )
+        self._profiles: Optional[Dict[Tuple[int, int], _Profile]]
+        if memoize:
+            self.geometry, self._profiles = _shared_components(params)
+        else:
+            self.geometry, self._profiles = DiskGeometry(params), None
         self._cylinder = 0
         self._surface = 0
         self._last_lbn = 0
         # Seek times depend only on the (integer) cylinder distance, so the
         # whole curve collapses into one dense float array indexed by
-        # distance — cheaper than the distance-keyed dict it replaces, and
-        # shared across devices built from the same curve.  ``None``
-        # disables it (the uncached benchmark baseline).
-        self._curve_table: Optional[Tuple[float, ...]] = (
-            seek_time_table(params.seek_curve, params.cylinders)
-            if memoize
-            else None
-        )
+        # distance, shared across devices built from the same curve.
+        self._seek_table = seek_time_table(params.seek_curve, params.cylinders)
         self._lower_bounds: Optional[Tuple[float, ...]] = None
-        self._memoize = memoize
+        # Parameter values the service loop would otherwise read through
+        # ``self.params`` on every call.
+        self._rev = params.revolution_time
+        self._head_switch = params.head_switch_time
+        self._write_settle = params.write_settle_time
+        self._bits_per_sector = params.sector_bytes * 8
 
     @property
     def positioning_lower_bounds(self) -> Tuple[float, ...]:
@@ -123,7 +178,7 @@ class DiskDevice(StorageDevice):
 
     def service(self, request: Request, now: float = 0.0) -> AccessResult:
         self.validate(request)
-        result = self._access(request, now, mutate=True)
+        result = self._access(request, now)
         self._last_lbn = request.last_lbn
         tracer = self.tracer
         if tracer.enabled:
@@ -154,84 +209,76 @@ class DiskDevice(StorageDevice):
         return result
 
     def estimate_positioning(self, request: Request, now: float = 0.0) -> float:
-        # With memoization on the explicit validation is elided: the engine
-        # validates at ingest and the geometry bounds-checks whenever the
-        # per-track split is actually derived, so an out-of-range request
-        # still raises ``ValueError``.
-        if not self._memoize:
-            self.validate(request)
-        first, _ = self.geometry.segments_tuple(request.lbn, request.sectors)[0]
-        seek = self._seek_time(self._cylinder, first, request.kind)
-        arrive = now + seek
-        latency = self._rotational_latency(first, arrive)
-        return seek + latency
+        # No explicit ``validate``: the engine validates at ingest, and
+        # deriving a profile bounds-checks the request, so an out-of-range
+        # request still raises ``ValueError`` (it never enters the memo).
+        cylinder, surface, angle, _ = self._profile(request.lbn, request.sectors)[0]
+        seek = self._seek(cylinder, surface, request.kind)
+        rev = self._rev
+        head_angle = ((now + seek) / rev) % 1.0
+        return seek + ((angle - head_angle) % 1.0) * rev
 
     # -- internals -------------------------------------------------------------- #
 
-    def _curve_time(self, distance: int) -> float:
-        table = self._curve_table
-        if table is None:
-            return self.params.seek_curve.time(distance)
-        return table[distance]
+    def _profile(self, lbn: int, sectors: int) -> _Profile:
+        profiles = self._profiles
+        if profiles is None:
+            return _build_profile(self.geometry, lbn, sectors)
+        key = (lbn, sectors)
+        profile = profiles.get(key)
+        if profile is None:
+            if len(profiles) >= _PROFILE_CACHE_LIMIT:
+                profiles.clear()
+            profile = profiles[key] = _build_profile(self.geometry, lbn, sectors)
+        return profile
 
-    def _seek_time(self, from_cyl: int, target: DiskAddress, kind: IOKind) -> float:
-        distance = abs(target.cylinder - from_cyl)
-        seek = self._curve_time(distance)
-        if distance == 0 and target.surface != self._surface:
-            seek += self.params.head_switch_time
+    def _seek(self, cylinder: int, surface: int, kind: IOKind) -> float:
+        """Arm positioning to a segment starting on ``cylinder``/``surface``:
+        the seek, a head switch on the same cylinder, and write settle."""
+        distance = abs(cylinder - self._cylinder)
+        seek = self._seek_table[distance]
+        if distance == 0 and surface != self._surface:
+            seek += self._head_switch
         if kind is IOKind.WRITE:
-            seek += self.params.write_settle_time
+            seek += self._write_settle
         return seek
 
-    def _rotational_latency(self, address: DiskAddress, at_time: float) -> float:
-        rev = self.params.revolution_time
-        head_angle = (at_time / rev) % 1.0
-        target = self.geometry.sector_angle(address)
-        return ((target - head_angle) % 1.0) * rev
-
-    def _access(self, request: Request, now: float, mutate: bool) -> AccessResult:
-        rev = self.params.revolution_time
-        segments = self.geometry.segments_tuple(request.lbn, request.sectors)
-
-        time = now
-        first, _ = segments[0]
-        seek = self._seek_time(self._cylinder, first, request.kind)
-        time += seek
-
+    def _access(self, request: Request, now: float) -> AccessResult:
+        """Service ``request`` from the current head position, one track
+        segment at a time, and leave the head on its last segment."""
+        segments = self._profile(request.lbn, request.sectors)
+        cylinder, surface = segments[0][0], segments[0][1]
+        seek = self._seek(cylinder, surface, request.kind)
+        time = now + seek
+        rev = self._rev
+        table = self._seek_table
         latency_total = 0.0
         transfer_total = 0.0
         switch_total = 0.0
-        cylinder = self._cylinder
-        surface = self._surface
-        for index, (addr, count) in enumerate(segments):
-            if index > 0:
-                if addr.cylinder != cylinder:
-                    step = self._curve_time(abs(addr.cylinder - cylinder))
-                    time += step
-                    switch_total += step
-                elif addr.surface != surface:
-                    time += self.params.head_switch_time
-                    switch_total += self.params.head_switch_time
-            latency = self._rotational_latency(addr, time)
+        # The first segment compares equal to itself, so it pays no switch.
+        for next_cylinder, next_surface, angle, transfer in segments:
+            if next_cylinder != cylinder:
+                step = table[abs(next_cylinder - cylinder)]
+                time += step
+                switch_total += step
+            elif next_surface != surface:
+                time += self._head_switch
+                switch_total += self._head_switch
+            head_angle = (time / rev) % 1.0
+            latency = ((angle - head_angle) % 1.0) * rev
             time += latency
             latency_total += latency
-            spt = self.geometry.sectors_per_track(addr.cylinder)
-            transfer = count / spt * rev
             time += transfer
             transfer_total += transfer
-            cylinder = addr.cylinder
-            surface = addr.surface
-
-        if mutate:
-            self._cylinder = cylinder
-            self._surface = surface
-
-        bits = request.sectors * self.params.sector_bytes * 8
+            cylinder = next_cylinder
+            surface = next_surface
+        self._cylinder = cylinder
+        self._surface = surface
         return AccessResult(
             total=time - now,
             seek_x=seek,
             rotational_latency=latency_total,
             transfer=transfer_total,
             turnarounds=switch_total,
-            bits_accessed=bits,
+            bits_accessed=request.sectors * self._bits_per_sector,
         )

@@ -12,15 +12,11 @@ than missing nearly a full revolution — standard practice since the early
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.disk.parameters import DiskParameters
-
-DEFAULT_GEOMETRY_CACHE = 1 << 16
-"""Default per-instance LRU size for the address-arithmetic caches."""
 
 
 @dataclass(frozen=True)
@@ -39,19 +35,19 @@ class DiskAddress:
 class DiskGeometry:
     """Address arithmetic for a zoned disk.
 
+    Every method is a pure function of its arguments and nothing is cached
+    here: the device memoizes whole request profiles instead
+    (:func:`repro.disk.device._shared_components`).
+
     Args:
         params: Disk design point.
-        cache_size: Per-instance LRU size for the pure address-arithmetic
-            methods; the SPTF oracle re-derives the same coordinates at
-            every dispatch, so memoization removes most of its per-call
-            cost.  Pass 0 to disable (the benchmark harness uses this for
-            its uncached baseline).
     """
 
-    def __init__(
-        self, params: DiskParameters, cache_size: int = DEFAULT_GEOMETRY_CACHE
-    ) -> None:
+    def __init__(self, params: DiskParameters) -> None:
         self.params = params
+        self._zone_first_cylinder: List[int] = [
+            zone.first_cylinder for zone in params.zones
+        ]
         self._zone_start_lbn: List[int] = []
         self._zone_track_skew: List[int] = []
         self._zone_cyl_skew: List[int] = []
@@ -69,12 +65,6 @@ class DiskGeometry:
             self._zone_track_skew.append(track_skew)
             self._zone_cyl_skew.append(cyl_skew)
         self._capacity = lbn
-        if cache_size:
-            cached = functools.lru_cache(maxsize=cache_size)
-            self.decompose = cached(self.decompose)
-            self.zone_of_cylinder = cached(self.zone_of_cylinder)
-            self.sector_angle = cached(self.sector_angle)
-            self.segments_tuple = cached(self.segments_tuple)
 
     @property
     def capacity_sectors(self) -> int:
@@ -90,10 +80,7 @@ class DiskGeometry:
     def zone_of_cylinder(self, cylinder: int) -> int:
         if not 0 <= cylinder < self.params.cylinders:
             raise ValueError(f"cylinder {cylinder} out of range")
-        for index, zone in enumerate(self.params.zones):
-            if zone.first_cylinder <= cylinder <= zone.last_cylinder:
-                return index
-        raise AssertionError("zones tile all cylinders")  # pragma: no cover
+        return bisect.bisect_right(self._zone_first_cylinder, cylinder) - 1
 
     def sectors_per_track(self, cylinder: int) -> int:
         return self.params.zones[self.zone_of_cylinder(cylinder)].sectors_per_track
@@ -161,12 +148,6 @@ class DiskGeometry:
 
         Returns ``(start_address, count)`` pairs in LBN order.
         """
-        return list(self.segments_tuple(lbn, sectors))
-
-    def segments_tuple(self, lbn: int, sectors: int) -> Tuple:
-        """:meth:`segments` as an immutable tuple (memoized; the device
-        model's hot path uses this to avoid rebuilding the per-track split
-        on every service and SPTF estimate)."""
         if sectors < 1:
             raise ValueError(f"non-positive request size: {sectors}")
         if lbn + sectors > self._capacity:
@@ -181,4 +162,4 @@ class DiskGeometry:
             result.append((addr, take))
             current += take
             remaining -= take
-        return tuple(result)
+        return result

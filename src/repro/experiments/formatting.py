@@ -53,13 +53,6 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def format_ms(seconds: Optional[float]) -> str:
-    """Seconds → milliseconds string, with saturation marker."""
-    if seconds is None or math.isinf(seconds):
-        return "sat."
-    return f"{seconds * 1e3:.3f}"
-
-
 def format_grid(
     values: List[List[str]], cell_width: int = 14, title: Optional[str] = None
 ) -> str:

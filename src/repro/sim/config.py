@@ -157,7 +157,6 @@ class SimConfig:
         warmup: Completed requests dropped from the front of the result.
         max_queue_depth: Saturation bound
             (see :class:`repro.sim.engine.QueueOverflowError`).
-        jobs: Worker-process count for sweep fan-out (``None`` = default).
         trace_path: When set, :meth:`run` writes a JSONL event trace here
             (gzip-compressed when the path ends in ``.gz``).
         trace_sample: When set (and > 1), wrap the trace sink in a
@@ -197,7 +196,6 @@ class SimConfig:
     seed: int = 42
     warmup: int = 0
     max_queue_depth: Optional[int] = 4000
-    jobs: Optional[int] = None
     trace_path: Optional[str] = None
     trace_sample: Optional[int] = None
     live_window: Optional[float] = None
@@ -211,8 +209,6 @@ class SimConfig:
             raise ValueError(f"negative num_requests: {self.num_requests}")
         if self.warmup < 0:
             raise ValueError(f"negative warmup: {self.warmup}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1: {self.jobs}")
         if self.trace_sample is not None and self.trace_sample < 1:
             raise ValueError(f"trace_sample must be >= 1: {self.trace_sample}")
         if self.live_window is not None:

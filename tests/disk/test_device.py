@@ -1,10 +1,14 @@
 """Unit tests for the disk mechanical model."""
 
+import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.disk import DiskAddress, DiskDevice, DiskGeometry, atlas_10k
+from repro.disk import device as disk_device
 from repro.sim import IOKind, Request
 
 
@@ -137,3 +141,62 @@ class TestState:
     def test_validation(self, atlas_device):
         with pytest.raises(ValueError):
             atlas_device.service(read(atlas_device.capacity_sectors, sectors=1))
+
+
+class TestProfileMemo:
+    """The ``(lbn, sectors)`` profile memo shared by memoizing devices."""
+
+    def test_devices_with_equal_parameters_share_one_memo(self):
+        first = DiskDevice(atlas_10k())
+        first.service(read(1000))
+        second = DiskDevice(atlas_10k())
+        assert second.geometry is first.geometry
+        assert (1000, 8) in second._profiles
+
+    def test_dropped_device_and_geometry_die_by_reference_counting(self):
+        """Nothing on a device or its geometry refers back to it, so both
+        are freed with the collector off, the geometry once another
+        parameter set takes the memo's one slot."""
+        params = dataclasses.replace(atlas_10k(), write_settle_time=1e-4)
+        gc.disable()
+        try:
+            device = DiskDevice(params)
+            device.service(write(1000, sectors=700))
+            device.estimate_positioning(read(10**6), now=0.1)
+            device_alive = weakref.ref(device)
+            geometry_alive = weakref.ref(device.geometry)
+            del device
+            assert device_alive() is None
+            DiskDevice(atlas_10k())
+            assert geometry_alive() is None
+
+            private = DiskDevice(params, memoize=False)
+            private.service(read(1000, sectors=700))
+            geometry_alive = weakref.ref(private.geometry)
+            del private
+            assert geometry_alive() is None
+        finally:
+            gc.enable()
+
+    def test_memo_is_cleared_when_full(self, monkeypatch):
+        monkeypatch.setattr(disk_device, "_PROFILE_CACHE_LIMIT", 8)
+        device = DiskDevice(atlas_10k())
+        device._profiles.clear()
+        sizes = []
+        for index in range(20):
+            device.service(read(index * 1000), now=index * 0.01)
+            sizes.append(len(device._profiles))
+        assert sizes == [index % 8 + 1 for index in range(20)]
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_out_of_range_request_raises(self, memoize):
+        device = DiskDevice(atlas_10k(), memoize=memoize)
+        for bad in (
+            read(device.capacity_sectors - 4, sectors=8),
+            read(device.capacity_sectors, sectors=1),
+        ):
+            for _ in range(2):  # a failed derivation leaves nothing behind
+                with pytest.raises(ValueError):
+                    device.service(bad)
+                with pytest.raises(ValueError):
+                    device.estimate_positioning(bad)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.formatting import format_grid, format_ms, format_table
+from repro.experiments.formatting import format_grid, format_table
 
 
 class TestFormatTable:
@@ -26,15 +26,6 @@ class TestFormatTable:
         assert "123" in text
         assert "12.35" in text
         assert "0.123" in text
-
-
-class TestFormatMs:
-    def test_converts_to_milliseconds(self):
-        assert format_ms(0.0015) == "1.500"
-
-    def test_saturation(self):
-        assert format_ms(None) == "sat."
-        assert format_ms(float("inf")) == "sat."
 
 
 class TestFormatGrid:

@@ -131,8 +131,12 @@ class TestSimConfig:
             SimConfig(num_requests=-1)
         with pytest.raises(ValueError):
             SimConfig(warmup=-1)
-        with pytest.raises(ValueError):
+        # A run takes its worker count from the sweep or fleet call, not
+        # from the config, so ``jobs`` is not a field.
+        with pytest.raises(TypeError, match="jobs"):
             SimConfig(jobs=0)
+        with pytest.raises(ValueError, match="unknown SimConfig field: 'jobs'"):
+            SimConfig.from_dict({"jobs": 2})
 
     def test_warmup_applied(self):
         config = SimConfig(rate=500.0, num_requests=200)

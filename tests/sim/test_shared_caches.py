@@ -2,8 +2,10 @@
 
 Memoizing MEMS devices built from equal :class:`MEMSParameters` share one
 geometry, seek planner and request-profile memo
-(``repro.mems.device._shared_components``, keyed by the parameters), and
-disk devices share the seek tables of their curve (``seek_time_table`` and
+(``repro.mems.device._shared_components``, keyed by the parameters).
+Memoizing disk devices likewise share one geometry and request-profile memo
+(``repro.disk.device._shared_components``), and every disk device shares
+the seek tables of its curve (``seek_time_table`` and
 ``seek_lower_bounds``, module-level caches keyed by the curve).  Runs over
 different parameter sets interleaved in one process must produce exactly
 the columns each run produces as the first thing in a fresh interpreter.

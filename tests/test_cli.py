@@ -212,6 +212,15 @@ class TestConfigFlag:
         assert "did you mean 'scheduler'" in err
         assert "Traceback" not in err
 
+    def test_simulate_config_jobs_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text('{"device": "atlas10k", "jobs": 2}')
+        assert main(["simulate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown SimConfig field: 'jobs'")
+        assert captured.err.count("\n") == 1
+
     def test_simulate_config_missing_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent/sim.json"]) == 2
         assert "error:" in capsys.readouterr().err
