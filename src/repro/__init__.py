@@ -26,106 +26,86 @@ Quickstart::
     workload = RandomWorkload(device.capacity_sectors, rate=800.0, seed=42)
     result = Simulation(device, scheduler).run(workload.generate(10_000))
     print(f"mean response time: {result.mean_response_time * 1e3:.2f} ms")
+
+Public names resolve on first access (PEP 562): ``import repro`` loads no
+subpackage, and ``from repro import MEMSDevice`` imports only the modules
+that name needs, so a short ``python -m repro`` process pays for what its
+subcommand runs.
 """
 
-from repro.array import ArrayLevel, StorageArray
-from repro.core.buffer import BufferCache, CachedDevice, PrefetchPolicy
-from repro.core.layout import LAYOUTS, make_layout
-from repro.core.scheduling import (
-    AgedSPTFScheduler,
-    CLOOKScheduler,
-    FCFSScheduler,
-    PAPER_ALGORITHMS,
-    SCHEDULERS,
-    SPTFScheduler,
-    SSTFScheduler,
-    Scheduler,
-    ShortestXFirstScheduler,
-    make_scheduler,
-)
-from repro.disk import DiskDevice, DiskParameters, atlas_10k
-from repro.fleet import FleetConfig, FleetResult, ROUTERS, make_router, run_fleet
-from repro.mems import DEFAULT_PARAMETERS, MEMSDevice, MEMSParameters
-from repro.obs import (
-    JsonlTracer,
-    MetricsRegistry,
-    MetricsTracer,
-    NullTracer,
-    RingBufferTracer,
-    Tracer,
-)
-from repro.sim import (
-    AccessResult,
-    DEVICES,
-    IOKind,
-    Request,
-    RequestRecord,
-    SimConfig,
-    Simulation,
-    SimulationResult,
-    StorageDevice,
-    make_device,
-    simulate,
-)
-from repro.workloads import (
-    CelloLikeWorkload,
-    RandomWorkload,
-    TPCCLikeWorkload,
-    Trace,
-    UniformFixedWorkload,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccessResult",
-    "AgedSPTFScheduler",
-    "ArrayLevel",
-    "BufferCache",
-    "CachedDevice",
-    "CLOOKScheduler",
-    "CelloLikeWorkload",
-    "DEFAULT_PARAMETERS",
-    "DEVICES",
-    "DiskDevice",
-    "DiskParameters",
-    "FCFSScheduler",
-    "FleetConfig",
-    "FleetResult",
-    "IOKind",
-    "JsonlTracer",
-    "LAYOUTS",
-    "MEMSDevice",
-    "MEMSParameters",
-    "MetricsRegistry",
-    "MetricsTracer",
-    "NullTracer",
-    "PAPER_ALGORITHMS",
-    "RandomWorkload",
-    "Request",
-    "RequestRecord",
-    "RingBufferTracer",
-    "ROUTERS",
-    "SCHEDULERS",
-    "SPTFScheduler",
-    "PrefetchPolicy",
-    "SSTFScheduler",
-    "Scheduler",
-    "SimConfig",
-    "StorageArray",
-    "ShortestXFirstScheduler",
-    "Simulation",
-    "SimulationResult",
-    "StorageDevice",
-    "TPCCLikeWorkload",
-    "Trace",
-    "Tracer",
-    "UniformFixedWorkload",
-    "atlas_10k",
-    "make_device",
-    "make_layout",
-    "make_router",
-    "make_scheduler",
-    "run_fleet",
-    "simulate",
-]
+_EXPORTS = {
+    "repro.array": ("ArrayLevel", "StorageArray"),
+    "repro.core.buffer": ("BufferCache", "CachedDevice", "PrefetchPolicy"),
+    "repro.core.layout": ("LAYOUTS", "make_layout"),
+    "repro.core.scheduling": (
+        "AgedSPTFScheduler",
+        "CLOOKScheduler",
+        "FCFSScheduler",
+        "PAPER_ALGORITHMS",
+        "SCHEDULERS",
+        "SPTFScheduler",
+        "SSTFScheduler",
+        "Scheduler",
+        "ShortestXFirstScheduler",
+        "make_scheduler",
+    ),
+    "repro.disk": ("DiskDevice", "DiskParameters", "atlas_10k"),
+    "repro.fleet": (
+        "FleetConfig",
+        "FleetResult",
+        "ROUTERS",
+        "make_router",
+        "run_fleet",
+    ),
+    "repro.mems": ("DEFAULT_PARAMETERS", "MEMSDevice", "MEMSParameters"),
+    "repro.obs": (
+        "JsonlTracer",
+        "MetricsRegistry",
+        "MetricsTracer",
+        "NullTracer",
+        "RingBufferTracer",
+        "Tracer",
+    ),
+    "repro.sim": (
+        "AccessResult",
+        "DEVICES",
+        "IOKind",
+        "Request",
+        "RequestRecord",
+        "SimConfig",
+        "Simulation",
+        "SimulationResult",
+        "StorageDevice",
+        "make_device",
+        "simulate",
+    ),
+    "repro.workloads": (
+        "CelloLikeWorkload",
+        "RandomWorkload",
+        "TPCCLikeWorkload",
+        "Trace",
+        "UniformFixedWorkload",
+    ),
+}
+"""Module → the public names it supplies."""
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,21 +18,24 @@ import argparse
 import json
 import sys
 
-from repro import (
-    DEVICES,
-    MEMSDevice,
-    MetricsRegistry,
-    SCHEDULERS,
-    SimConfig,
-    atlas_10k,
-)
-from repro.experiments import ALL_EXPERIMENTS, runner
-from repro.experiments.parallel import resolve_jobs
-from repro.experiments.runner import run_experiments
-from repro.sim import QueueOverflowError
+# Only the registries the parser lists, and the repro.sim names that come
+# with them; each handler imports the modules its subcommand runs.
+from repro.core.scheduling import SCHEDULERS
+from repro.sim import DEVICES, QueueOverflowError, SimConfig
+
+
+def positive_int(text: str) -> int:
+    """argparse type for ``--jobs``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from repro.disk import atlas_10k
+    from repro.mems import MEMSDevice
+
     mems = MEMSDevice()
     params = mems.params
     print("MEMS-based storage device (paper Table 1)")
@@ -181,6 +184,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if config.trace_path:
         print(f"  trace         : {config.trace_path}")
     if args.metrics:
+        from repro.obs.metrics import MetricsRegistry
+
         print()
         metrics = MetricsRegistry.from_result(trimmed)
         print(metrics.render_text(title="metrics"))
@@ -280,6 +285,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             return 2
         print(f"  json          : {args.json}")
     if args.metrics:
+        from repro.obs.metrics import MetricsRegistry
+
         print()
         metrics = MetricsRegistry.from_result(combined)
         print(metrics.render_text(title="fleet metrics"))
@@ -304,10 +311,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.experiments import ALL_EXPERIMENTS
+
     if args.list:
         for name in ALL_EXPERIMENTS:
             print(name)
         return 0
+    from repro.experiments.parallel import resolve_jobs
+    from repro.experiments.runner import run_experiments
+
     try:
         resolve_jobs(args.jobs)  # a bad REPRO_JOBS fails here, not mid-run
     except ValueError as exc:
@@ -425,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--seed", type=int, default=42)
     fleet.add_argument(
         "--jobs",
-        type=runner.positive_int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="fan member shards out over N worker processes "
@@ -487,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument(
         "--jobs",
-        type=runner.positive_int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="fan sweep points out over N worker processes",

@@ -177,7 +177,6 @@ class DiskDevice(StorageDevice):
         return self.geometry.cylinder_of_lbn(request.lbn)
 
     def service(self, request: Request, now: float = 0.0) -> AccessResult:
-        self.validate(request)
         result = self._access(request, now)
         self._last_lbn = request.last_lbn
         tracer = self.tracer
@@ -209,10 +208,7 @@ class DiskDevice(StorageDevice):
         return result
 
     def estimate_positioning(self, request: Request, now: float = 0.0) -> float:
-        # No explicit ``validate``: the engine validates at ingest, and
-        # deriving a profile bounds-checks the request, so an out-of-range
-        # request still raises ``ValueError`` (it never enters the memo).
-        cylinder, surface, angle, _ = self._profile(request.lbn, request.sectors)[0]
+        cylinder, surface, angle, _ = self._profile(request)[0]
         seek = self._seek(cylinder, surface, request.kind)
         rev = self._rev
         head_angle = ((now + seek) / rev) % 1.0
@@ -220,16 +216,25 @@ class DiskDevice(StorageDevice):
 
     # -- internals -------------------------------------------------------------- #
 
-    def _profile(self, lbn: int, sectors: int) -> _Profile:
+    def _profile(self, request: Request) -> _Profile:
+        """``request``'s profile, validated whenever it is derived.
+
+        A request whose key is in the memo passed the same bounds for this
+        parameter set, so only a miss (every call without the memo) pays
+        for :meth:`validate`; an out-of-range request raises its explicit
+        ``ValueError`` and never enters the memo.
+        """
         profiles = self._profiles
         if profiles is None:
-            return _build_profile(self.geometry, lbn, sectors)
-        key = (lbn, sectors)
+            self.validate(request)
+            return _build_profile(self.geometry, request.lbn, request.sectors)
+        key = (request.lbn, request.sectors)
         profile = profiles.get(key)
         if profile is None:
+            self.validate(request)
             if len(profiles) >= _PROFILE_CACHE_LIMIT:
                 profiles.clear()
-            profile = profiles[key] = _build_profile(self.geometry, lbn, sectors)
+            profile = profiles[key] = _build_profile(self.geometry, *key)
         return profile
 
     def _seek(self, cylinder: int, surface: int, kind: IOKind) -> float:
@@ -246,7 +251,7 @@ class DiskDevice(StorageDevice):
     def _access(self, request: Request, now: float) -> AccessResult:
         """Service ``request`` from the current head position, one track
         segment at a time, and leave the head on its last segment."""
-        segments = self._profile(request.lbn, request.sectors)
+        segments = self._profile(request)
         cylinder, surface = segments[0][0], segments[0][1]
         seek = self._seek(cylinder, surface, request.kind)
         time = now + seek

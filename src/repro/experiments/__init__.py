@@ -22,40 +22,62 @@ generations         extension — G1/G2/G3 design-point roadmap
 Each module exposes ``run(...) -> <result dataclass>`` returning the raw
 data and a ``main()`` that prints the paper-matching rows;
 :mod:`repro.experiments.runner` drives them all.
+
+:data:`ALL_EXPERIMENTS` imports a module on first lookup: listing the
+experiments imports none of them, and running one imports only what that
+module uses.
 """
 
-from repro.experiments import (
-    ablations,
-    buffering,
-    faults,
-    generations,
-    figure05,
-    figure06,
-    figure07,
-    figure08,
-    figure09,
-    figure10,
-    figure11,
-    power,
-    recovery,
-    table02,
+import importlib
+from collections.abc import Mapping
+
+
+class _ExperimentModules(Mapping):
+    """Read-only experiment name → module mapping, in table order, that
+    imports each module on first lookup."""
+
+    def __init__(self, names) -> None:
+        self._names = tuple(names)
+
+    def __getitem__(self, name):
+        if name not in self._names:
+            raise KeyError(name)
+        return importlib.import_module(f"{__name__}.{name}")
+
+    def __contains__(self, name) -> bool:
+        return name in self._names  # without importing the module
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+ALL_EXPERIMENTS = _ExperimentModules(
+    (
+        "figure05",
+        "figure06",
+        "figure07",
+        "figure08",
+        "figure09",
+        "figure10",
+        "figure11",
+        "table02",
+        "faults",
+        "power",
+        "ablations",
+        "recovery",
+        "buffering",
+        "generations",
+    )
 )
 
-ALL_EXPERIMENTS = {
-    "figure05": figure05,
-    "figure06": figure06,
-    "figure07": figure07,
-    "figure08": figure08,
-    "figure09": figure09,
-    "figure10": figure10,
-    "figure11": figure11,
-    "table02": table02,
-    "faults": faults,
-    "power": power,
-    "ablations": ablations,
-    "recovery": recovery,
-    "buffering": buffering,
-    "generations": generations,
-}
-
 __all__ = ["ALL_EXPERIMENTS"] + list(ALL_EXPERIMENTS)
+
+
+def __getattr__(name: str):
+    # ``repro.experiments.figure05`` without importing the submodule first.
+    if name in ALL_EXPERIMENTS:
+        return ALL_EXPERIMENTS[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -76,15 +76,9 @@ def write_run_report(report: dict, path: str) -> None:
         stream.write("\n")
 
 
-def positive_int(text: str) -> int:
-    """argparse type for ``--jobs``: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def main(argv: Optional[Sequence[str]] = None) -> None:
+    from repro.__main__ import positive_int
+
     parser = argparse.ArgumentParser(
         description="Regenerate paper figures/tables."
     )

@@ -270,11 +270,11 @@ class MEMSDevice(StorageDevice):
         exact; the float coordinate math is IEEE-identical), so a primed
         profile is bit-for-bit the one :func:`_build_profile` would return.
 
-        Rows that span a track boundary, fall outside the device, or repeat
-        an already-primed key are simply left to the scalar path (which
-        raises the exact per-request errors for the invalid ones).  A
-        ``memoize=False`` device has no cache to prime and returns
-        immediately.
+        Rows whose key the memo already holds keep their entry and are not
+        rebuilt.  Rows that span a track boundary or fall outside the device
+        are left to the scalar path (which raises the exact per-request
+        errors for the invalid ones).  A ``memoize=False`` device has no
+        cache to prime and returns immediately.
         """
         cache = self._profile_cache
         if cache is None:
@@ -292,6 +292,12 @@ class MEMSDevice(StorageDevice):
             & (offset + secs <= per_track)
             & (lbns + secs <= geometry.capacity_sectors)
         )
+        if cache:
+            single &= np.fromiter(
+                (key not in cache for key in zip(lbns.tolist(), secs.tolist())),
+                dtype=bool,
+                count=len(lbns),
+            )
         if not bool(np.all(single)):
             if not bool(np.any(single)):
                 return

@@ -27,104 +27,80 @@ Quickstart::
     accesses = tracer.by_kind("dev.access")   # per-request phase breakdowns
 
 See ``docs/observability.md`` for the record schema and sink API.
+
+Names resolve on first access (PEP 562): importing ``repro.obs`` loads no
+submodule, and importing one loads only what that one uses.
 """
 
-from repro.obs.analyze import (
-    DispatchStats,
-    TimeSeries,
-    TimeSeriesBuilder,
-    TraceAnalysis,
-    analyze_events,
-    analyze_trace,
-)
-from repro.obs.live import (
-    DEFAULT_WINDOW_S,
-    LiveAggregator,
-    LiveSummary,
-    SLOSpec,
-    merge_live_summaries,
-    parse_slo,
-)
-from repro.obs.metrics import (
-    ACCESS_PHASES,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    MetricsTracer,
-    replay_metrics,
-)
-from repro.obs.report import render_report, write_report
-from repro.obs.spans import (
-    Span,
-    SpanBuilder,
-    SpanError,
-    SpanSummary,
-    iter_spans,
-    summarize_spans,
-)
-from repro.obs.tracer import (
-    EVENT_FIELDS,
-    JsonlTracer,
-    NULL_TRACER,
-    NullTracer,
-    RingBufferTracer,
-    SamplingTracer,
-    TeeTracer,
-    TRACE_SCHEMA,
-    Tracer,
-    iter_trace,
-    iter_trace_lines,
-    read_trace,
-)
-from repro.obs.prof import ProfileReport, SimProfiler, is_instrumented
-from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
-from repro.obs.validate import diff_traces, validate_events, validate_file
+import importlib
 
-__all__ = [
-    "ACCESS_PHASES",
-    "Counter",
-    "DEFAULT_ALPHA",
-    "DEFAULT_WINDOW_S",
-    "DispatchStats",
-    "EVENT_FIELDS",
-    "Histogram",
-    "JsonlTracer",
-    "LiveAggregator",
-    "LiveSummary",
-    "MetricsRegistry",
-    "MetricsTracer",
-    "NULL_TRACER",
-    "NullTracer",
-    "ProfileReport",
-    "QuantileSketch",
-    "RingBufferTracer",
-    "SLOSpec",
-    "SamplingTracer",
-    "SimProfiler",
-    "Span",
-    "SpanBuilder",
-    "SpanError",
-    "SpanSummary",
-    "TRACE_SCHEMA",
-    "TeeTracer",
-    "TimeSeries",
-    "TimeSeriesBuilder",
-    "TraceAnalysis",
-    "Tracer",
-    "analyze_events",
-    "analyze_trace",
-    "diff_traces",
-    "iter_spans",
-    "iter_trace",
-    "iter_trace_lines",
-    "is_instrumented",
-    "merge_live_summaries",
-    "parse_slo",
-    "read_trace",
-    "render_report",
-    "replay_metrics",
-    "summarize_spans",
-    "validate_events",
-    "validate_file",
-    "write_report",
-]
+_EXPORTS = {
+    "repro.obs.analyze": (
+        "DispatchStats",
+        "TimeSeries",
+        "TimeSeriesBuilder",
+        "TraceAnalysis",
+        "analyze_events",
+        "analyze_trace",
+    ),
+    "repro.obs.live": (
+        "DEFAULT_WINDOW_S",
+        "LiveAggregator",
+        "LiveSummary",
+        "SLOSpec",
+        "merge_live_summaries",
+        "parse_slo",
+    ),
+    "repro.obs.metrics": (
+        "ACCESS_PHASES",
+        "Counter",
+        "Histogram",
+        "MetricsRegistry",
+        "MetricsTracer",
+        "replay_metrics",
+    ),
+    "repro.obs.report": ("render_report", "write_report"),
+    "repro.obs.spans": (
+        "Span",
+        "SpanBuilder",
+        "SpanError",
+        "SpanSummary",
+        "iter_spans",
+        "summarize_spans",
+    ),
+    "repro.obs.tracer": (
+        "EVENT_FIELDS",
+        "JsonlTracer",
+        "NULL_TRACER",
+        "NullTracer",
+        "RingBufferTracer",
+        "SamplingTracer",
+        "TeeTracer",
+        "TRACE_SCHEMA",
+        "Tracer",
+        "iter_trace",
+        "iter_trace_lines",
+        "read_trace",
+    ),
+    "repro.obs.prof": ("ProfileReport", "SimProfiler", "is_instrumented"),
+    "repro.obs.sketch": ("DEFAULT_ALPHA", "QuantileSketch"),
+    "repro.obs.validate": ("diff_traces", "validate_events", "validate_file"),
+}
+"""Module → the public names it supplies."""
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

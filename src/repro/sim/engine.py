@@ -146,24 +146,28 @@ class Simulation:
         # reference cycles, so everything is reclaimed by reference
         # counting alone.  Generational GC scans, whose cost grows with the
         # live heap, are pure overhead here — measured at 2-4x the total
-        # runtime on fleet-scale streams — so collection is paused for the
-        # drain and the caller's setting restored after.
+        # runtime on fleet-scale streams — so collection is paused until
+        # the result's columns are built and the drain's lists dropped (the
+        # first collection would otherwise scan every request and access
+        # they hold), and the caller's setting is restored after.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
             done, dispatch, accesses = self._drain(arrivals)
+            del arrivals
+            if tracer.enabled:
+                tracer.emit(
+                    {"kind": "sim.end", "t": self.now, "completed": len(done)}
+                )
+            result = SimulationResult(
+                _completion_columns(done, dispatch, accesses), end_time=self.now
+            )
+            del done, dispatch, accesses
         finally:
             if gc_was_enabled:
                 gc.enable()
-
-        if tracer.enabled:
-            tracer.emit(
-                {"kind": "sim.end", "t": self.now, "completed": len(done)}
-            )
-        return SimulationResult(
-            _completion_columns(done, dispatch, accesses), end_time=self.now
-        )
+        return result
 
     # ------------------------------------------------------------------ #
 

@@ -189,6 +189,31 @@ class TestProfileMemo:
         assert sizes == [index % 8 + 1 for index in range(20)]
 
     @pytest.mark.parametrize("memoize", [True, False])
+    def test_service_repeats_the_explicit_message(self, memoize):
+        device = DiskDevice(atlas_10k(), memoize=memoize)
+        bad = read(device.capacity_sectors - 4, sectors=8)
+        expected = (
+            f"request [{bad.lbn}, {bad.last_lbn}] exceeds device capacity of "
+            f"{device.capacity_sectors} sectors"
+        )
+        for _ in range(2):
+            with pytest.raises(ValueError) as raised:
+                device.service(bad)
+            assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_validates_only_when_deriving_a_profile(self, memoize, monkeypatch):
+        device = DiskDevice(atlas_10k(), memoize=memoize)
+        checked = []
+        monkeypatch.setattr(device, "validate", checked.append)
+        if memoize:
+            device._profiles.pop((5000, 8), None)
+        for now in (0.0, 0.01, 0.02):
+            device.service(read(5000), now=now)
+        device.estimate_positioning(read(5000), now=0.03)
+        assert len(checked) == (1 if memoize else 4)
+
+    @pytest.mark.parametrize("memoize", [True, False])
     def test_out_of_range_request_raises(self, memoize):
         device = DiskDevice(atlas_10k(), memoize=memoize)
         for bad in (

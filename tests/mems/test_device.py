@@ -4,7 +4,9 @@ derived numbers."""
 import pytest
 
 from repro.mems import MEMSDevice, MEMSParameters
+from repro.mems import device as mems_device_module
 from repro.sim import IOKind, Request
+from repro.workloads import RandomWorkload
 
 
 def read(lbn, sectors=8, rid=0):
@@ -184,6 +186,27 @@ class TestValidation:
     def test_request_beyond_capacity(self, mems_device):
         with pytest.raises(ValueError):
             mems_device.service(read(mems_device.capacity_sectors - 4, sectors=8))
+
+
+class TestProfilePriming:
+    """``prime_request_profiles`` fills the shared memo from the columns."""
+
+    def test_priming_twice_keeps_every_entry(self):
+        device = MEMSDevice()
+        cache = device._profile_cache
+        cache.clear()
+        batch = RandomWorkload(device.capacity_sectors, rate=800.0, seed=5)
+        columns = batch.generate_batch(2000)
+        device.prime_request_profiles(columns.lbn, columns.sectors)
+        primed = dict(cache)
+        assert primed
+        device.prime_request_profiles(columns.lbn, columns.sectors)
+        assert cache.keys() == primed.keys()
+        assert all(cache[key] is profile for key, profile in primed.items())
+        for (lbn, sectors), profile in primed.items():
+            assert profile == mems_device_module._build_profile(
+                device.geometry, device._tip_sector_time, lbn, sectors
+            )
 
 
 class TestScaledDevice:

@@ -1,10 +1,13 @@
 """Unit tests for the discrete-event engine, using a deterministic stub
 device so timings are exactly predictable."""
 
+import gc
+
 import pytest
 
 from repro.core.scheduling import FCFSScheduler
 from repro.obs.tracer import RingBufferTracer
+from repro.sim import engine as engine_module
 from repro.sim import (
     AccessResult,
     IOKind,
@@ -339,3 +342,49 @@ class TestEventOrdering:
                 match=r"exceeded 3 requests at t=1\.0000s",
             ):
                 sim.run(list(requests))
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic collector and restores the caller's setting."""
+
+    @pytest.fixture
+    def collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_setting_as_it_found_it(self, collector, enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        simulate(ConstantDevice(), FCFSScheduler(), [req(0.0), req(0.5, 1, 1)])
+        assert gc.isenabled() is enabled
+        with pytest.raises(QueueOverflowError):
+            simulate(
+                ConstantDevice(service_time=100.0),
+                FCFSScheduler(),
+                [req(i * 0.001, lbn=i, rid=i) for i in range(10)],
+                max_queue_depth=4,
+            )
+        assert gc.isenabled() is enabled
+
+    def test_collection_stays_paused_while_the_result_is_built(
+        self, collector, monkeypatch
+    ):
+        seen = []
+        build = engine_module.SimulationResult
+
+        def result(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "SimulationResult", result)
+        gc.enable()
+        simulate(ConstantDevice(), FCFSScheduler(), [req(0.0), req(0.5, 1, 1)])
+        assert seen == [False]
+        assert gc.isenabled()

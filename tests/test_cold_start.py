@@ -1,11 +1,15 @@
 """Cold-path guards, each run in a fresh interpreter.
 
-A short ``python -m repro`` process should pay only for what it uses:
-importing the CLI loads neither scipy (not a runtime dependency) nor
-numpy (imported lazily through :func:`repro.nputil.get_numpy`).  Pool
-workers are forked, so they inherit the parent's modules;
-``parallel_map`` imports numpy in the parent before forking, so no
-worker has to import it again.
+A short ``python -m repro`` process should pay only for what it uses.
+The package roots (``repro``, ``repro.obs``) resolve their public names on
+first access, ``repro.experiments.ALL_EXPERIMENTS`` imports an experiment
+module on first lookup, and the CLI imports each subcommand's modules in
+its handler.  So importing the CLI loads neither scipy (not a runtime
+dependency) nor numpy (imported lazily through
+:func:`repro.nputil.get_numpy`), nor any device model, workload, fleet,
+array or experiment module.  Pool workers are forked, so they inherit the
+parent's modules; ``parallel_map`` imports numpy in the parent before
+forking, so no worker has to import it again.
 """
 
 import os
@@ -18,6 +22,13 @@ import repro
 from repro.experiments.parallel import available_parallelism, fork_available
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+_LOADED = (
+    "def loaded(*names):\n"
+    "    return sorted(m for m in sys.modules for n in names\n"
+    "                  if m == n or m.startswith(n + '.'))\n"
+)
+"""Source of ``loaded(*names)``: the loaded modules at or under ``names``."""
 
 
 def _run(code: str) -> str:
@@ -44,6 +55,88 @@ def test_cli_import_loads_neither_scipy_nor_numpy():
         " threading.active_count(), multiprocessing.active_children())\n"
     )
     assert out == "[] 1 []"
+
+
+def test_cli_import_loads_no_subcommand_module():
+    out = _run(
+        "import sys\n"
+        + _LOADED
+        + "import repro.__main__\n"
+        "print(loaded('repro.fleet', 'repro.array', 'repro.ecc',"
+        " 'repro.experiments', 'repro.mems', 'repro.disk', 'repro.workloads',"
+        " 'repro.obs.analyze', 'repro.obs.report', 'repro.obs.spans',"
+        " 'repro.obs.prof', 'repro.obs.validate'))\n"
+    )
+    assert out == "[]"
+
+
+def test_simulate_loads_only_what_it_runs():
+    out = _run(
+        "import contextlib, io, sys\n"
+        + _LOADED
+        + "import repro.__main__ as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        "    code = cli.main(['simulate', '--requests', '300', '--metrics'])\n"
+        "assert code == 0 and 'mean response' in text.getvalue()\n"
+        "print(loaded('repro.fleet', 'repro.array', 'repro.experiments',"
+        " 'repro.obs.analyze', 'repro.obs.report'))\n"
+    )
+    assert out == "[]"
+
+
+def test_experiments_list_imports_no_experiment():
+    out = _run(
+        "import contextlib, io, sys\n"
+        + _LOADED
+        + "import repro.__main__ as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        "    assert cli.main(['experiments', '--list']) == 0\n"
+        "print(text.getvalue().split(), loaded('repro.experiments'))\n"
+    )
+    from repro.experiments import ALL_EXPERIMENTS
+
+    assert out == f"{list(ALL_EXPERIMENTS)} ['repro.experiments']"
+
+
+def test_experiment_lookup_imports_that_module_only():
+    out = _run(
+        "import sys\n"
+        + _LOADED
+        + "from repro.experiments import ALL_EXPERIMENTS as table\n"
+        "assert 'table02' in table and 'nope' not in table\n"
+        "assert table.get('nope') is None\n"
+        "experiments = ['repro.experiments.' + name for name in table]\n"
+        "before = loaded(*experiments)\n"
+        "module = table['table02']\n"
+        "assert module is sys.modules['repro.experiments.table02']\n"
+        "assert table.get('table02') is module\n"
+        "print(before, loaded(*experiments), len(table))\n"
+    )
+    assert out == "[] ['repro.experiments.table02'] 14"
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.obs"])
+def test_public_names_resolve_to_their_defining_objects(package):
+    # ``import repro.obs`` imports the two package roots and nothing else;
+    # each name then resolves to what its defining module holds, and
+    # ``import *`` binds every one.
+    out = _run(
+        "import importlib, inspect, sys\n"
+        + _LOADED
+        + f"import {package} as package\n"
+        "print(loaded('repro'))\n"
+        "for name in package.__all__:\n"
+        "    value = getattr(package, name)\n"
+        "    home = inspect.getmodule(value) if (\n"
+        "        inspect.isclass(value) or inspect.isfunction(value)\n"
+        "    ) else importlib.import_module(package._MODULE_OF[name])\n"
+        "    assert getattr(home, name) is value, name\n"
+        "    assert name in dir(package), name\n"
+        "namespace = {}\n"
+        f"exec('from {package} import *', namespace)\n"
+        "assert set(package.__all__) <= set(namespace)\n"
+    )
+    assert out == ("['repro', 'repro.obs']" if package == "repro.obs" else "['repro']")
 
 
 @pytest.mark.skipif(
