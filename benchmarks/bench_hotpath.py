@@ -459,9 +459,10 @@ def bench_end_to_end(num_requests: int, repeats: int) -> dict:
 ANALYZE_MIN_EVENTS_PER_S = 50_000.0
 """CI floor for the streaming trace-analysis pass (events/second).
 
-``repro.obs.analyze`` folds a trace into spans, time-series, and dispatch
-stats in one pass; below this rate a multi-GB trace stops being analyzable
-in CI-scale time.  The smoke test asserts the floor; the full run just
+``repro.obs.analyze`` reads a trace back into the run's result columns in
+one pass (spans reconciled, dispatch stats counted), then folds the
+time-series from those columns; below this rate a multi-GB trace stops
+being analyzable in CI-scale time.  The smoke test asserts the floor; the full run just
 records the measured rate.
 """
 
@@ -471,10 +472,11 @@ def bench_analyze(num_requests: int, repeats: int) -> dict:
 
     Runs one traced simulation (unbounded ring buffer, so the event list is
     complete), then times :func:`repro.obs.analyze.analyze_events` — the
-    single pass shared by spans, time-series, and dispatch stats — over the
-    captured events.  The span reconciliation inside ``analyze_events``
-    doubles as a correctness check: every completed request must fold into
-    exactly one span.
+    single pass that rebuilds the result columns from the reconciled spans
+    and counts dispatch stats, plus the windowed fold over those columns —
+    over the captured events.  The span reconciliation inside
+    ``analyze_events`` doubles as a correctness check: every completed
+    request must come back as exactly one row of the rebuilt result.
     """
     from repro.core.scheduling import make_scheduler
     from repro.obs.analyze import analyze_events
@@ -500,15 +502,16 @@ def bench_analyze(num_requests: int, repeats: int) -> dict:
         start = time.perf_counter()
         analysis = analyze_events(iter(events))
         best = min(best, time.perf_counter() - start)
-    if analysis.summary.count != num_requests:
+    completions = len(analysis.result)
+    if completions != num_requests:
         raise AssertionError(
-            f"analyze folded {analysis.summary.count} spans from "
+            f"analyze rebuilt {completions} completions from "
             f"{num_requests} completed requests"
         )
     return {
         "requests": num_requests,
         "events": len(events),
-        "spans": analysis.summary.count,
+        "spans": completions,
         "best_s": round(best, 6),
         "events_per_s": round(len(events) / best, 1),
         "floor_events_per_s": ANALYZE_MIN_EVENTS_PER_S,

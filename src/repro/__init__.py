@@ -65,7 +65,6 @@ _EXPORTS = {
     "repro.obs": (
         "JsonlTracer",
         "MetricsRegistry",
-        "MetricsTracer",
         "NullTracer",
         "RingBufferTracer",
         "Tracer",

@@ -26,7 +26,7 @@ DEFAULT_ALLOWLIST: Mapping[str, Tuple[str, ...]] = {
         "repro/obs/prof.py",
     ),
     # The obs sinks (JsonlTracer header write, TeeTracer fan-out,
-    # MetricsTracer replay) consume events unconditionally by design;
+    # SamplingTracer forwarding) consume events unconditionally by design;
     # the enabled-guard contract binds emission *sites*, not sinks.
     "R3": (
         "*/repro/obs/*",

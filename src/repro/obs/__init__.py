@@ -1,9 +1,10 @@
 """repro.obs — observability for the simulation stack.
 
-Event tracing (:mod:`repro.obs.tracer`), metrics aggregation
+Event tracing (:mod:`repro.obs.tracer`), run metrics
 (:mod:`repro.obs.metrics`), and trace analysis — per-request spans
-(:mod:`repro.obs.spans`), streaming time-series and reports
-(:mod:`repro.obs.analyze`, :mod:`repro.obs.report`) — over
+(:mod:`repro.obs.spans`) read back into the run's result columns,
+windowed time-series and reports (:mod:`repro.obs.analyze`,
+:mod:`repro.obs.report`) — over
 :class:`~repro.sim.Simulation`, both device models, and the schedulers.
 The *live* layer describes a run per window of simulated time without
 needing a trace: tumbling windowed metrics and SLO/burn-rate tracking
@@ -38,7 +39,6 @@ _EXPORTS = {
     "repro.obs.analyze": (
         "DispatchStats",
         "TimeSeries",
-        "TimeSeriesBuilder",
         "TraceAnalysis",
         "analyze_events",
         "analyze_trace",
@@ -51,23 +51,9 @@ _EXPORTS = {
         "merge_live_summaries",
         "parse_slo",
     ),
-    "repro.obs.metrics": (
-        "ACCESS_PHASES",
-        "Counter",
-        "Histogram",
-        "MetricsRegistry",
-        "MetricsTracer",
-        "replay_metrics",
-    ),
+    "repro.obs.metrics": ("ACCESS_PHASES", "MetricsRegistry"),
     "repro.obs.report": ("render_report", "write_report"),
-    "repro.obs.spans": (
-        "Span",
-        "SpanBuilder",
-        "SpanError",
-        "SpanSummary",
-        "iter_spans",
-        "summarize_spans",
-    ),
+    "repro.obs.spans": ("Span", "SpanBuilder", "SpanError", "iter_spans"),
     "repro.obs.tracer": (
         "EVENT_FIELDS",
         "JsonlTracer",

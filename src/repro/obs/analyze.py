@@ -1,30 +1,38 @@
-"""Single-pass trace analysis: spans, time-series, dispatch efficiency.
+"""Trace analysis: a trace read back into the run's own result columns.
 
-The read side of the observability stack.  :func:`analyze_trace` folds a
-JSONL trace (``.jsonl`` or ``.jsonl.gz``) into a :class:`TraceAnalysis` in
-**one streaming pass** — the span builder holds only in-flight requests,
-the time-series accumulators hold one cell per bucket, and the response
-histogram reservoir-samples — so multi-GB traces never load into memory.
+The read side of the observability stack.  :func:`analyze_trace` reads a
+JSONL trace (``.jsonl`` or ``.jsonl.gz``) in one pass:
+:class:`~repro.obs.spans.SpanBuilder` reconciles each request's events
+(``queue + service == response`` and the phase sums, to 1e-9), and every
+finished span becomes one row of a
+:class:`~repro.sim.statistics.SimulationResult`, the record the traced run
+itself produced (``bits_accessed`` is 0: nothing here reads it).  Every
+summary is that result's, so on an unsampled warmup-0 trace the mean, the
+p50/p95/p99 and the maximum response time are the run's own digits, exact
+at any trace length.  The result holds about 120 bytes per completion
+(120 MB per million completions), and the windowed fold briefly needs
+about 270 more while it runs.
 
-Time-series semantics (bucket width ``bucket_s``, bucket *i* covering
-``[i*bucket_s, (i+1)*bucket_s)``):
+The time series is the live fold's
+(:class:`~repro.obs.live.LiveAggregator` over the rebuilt result, window
+width ``bucket_s``): window ``k`` holds the times ``t`` with
+``k*bucket_s < t <= (k+1)*bucket_s`` (the first window also holds 0),
+and the last, partial window is normalized by the time it covers.  Per
+window:
 
-* ``queue_depth`` — time-weighted mean pending-queue depth, rebuilt from
-  the depth step function carried by ``sim.arrival``/``sim.dispatch``;
-* ``utilization`` — fraction of the bucket the device spent servicing,
-  from ``dev.access`` busy intervals ``[t, t + total)`` split across the
-  buckets they overlap (so the per-bucket busy seconds sum exactly to the
-  run's total busy time);
-* ``throughput_iops`` — completions per second (bucket count / width; the
-  counts sum exactly to the run's completion total);
-* ``response_mean`` / ``response_p95`` — over the completions inside the
-  bucket (``None`` for buckets with no completions);
-* ``cylinder`` — the device's last reported arm/sled position (the
-  ``dev.access`` ``cylinder`` extra), carried forward through idle buckets.
+* ``queue_depth`` — time-weighted mean count of arrived, undispatched
+  requests;
+* ``utilization`` — busy seconds (each access spread over the windows it
+  overlaps) over the window's width, uncapped: over a merged fleet trace
+  the devices' busy seconds add up past 1.0;
+* ``throughput_iops`` / ``completions`` — completions per second / count;
+* ``response_mean`` / ``response_p95`` — over the completions in the
+  window (``None`` when it has none), the p95 through
+  :func:`~repro.obs.metrics.percentile`;
+* ``cylinder`` — the device's position after the last ``dev.access``
+  (in trace order) that ended in the window, carried forward.
 
-The last bucket is normalized by the simulated time it actually covers, so
-a run ending mid-bucket doesn't dilute its final utilization/queue-depth
-point.
+On a sampled trace every series describes the sampled requests only.
 
 CLI::
 
@@ -43,20 +51,39 @@ import argparse
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.metrics import Histogram, percentile
-from repro.obs.spans import SpanBuilder, SpanSummary
+from repro.nputil import get_numpy
+from repro.obs.live import LiveAggregator, _window_of, check_width
+from repro.obs.metrics import percentile
+from repro.obs.spans import SpanBuilder
 from repro.obs.tracer import iter_trace
+from repro.sim.statistics import COLUMNS, SimulationResult
 
 DEFAULT_BUCKET_S = 0.1
 """Default time-series bucket width (100 ms of simulated time)."""
 
+_ROW = (
+    ("arrival", "arrival"), ("lbn", "lbn"), ("sectors", "sectors"),
+    ("rid", "rid"), ("dispatch", "dispatch"), ("completion", "complete"),
+    ("total", "total"), ("seek_x", "seek_x"), ("seek_y", "seek_y"),
+    ("settle", "settle"), ("rotational_latency", "rotational_latency"),
+    ("transfer", "transfer"), ("turnarounds", "turnarounds"),
+)
+"""``(result column, span attribute)`` of every column a span fills."""
+
+_span_row = attrgetter(*(attribute for _, attribute in _ROW))
+
+_TYPECODE = {"float64": "d", "int64": "q", "bool": "b"}
+"""``array`` typecode per column dtype: 8 bytes a value, 1 for a flag."""
+
 
 @dataclass
 class TimeSeries:
-    """Per-bucket series over one run; all lists share one length."""
+    """Per-window series over one run; all lists share one length."""
 
     bucket_s: float
     end_time: float
@@ -71,9 +98,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.utilization)
 
-    def bucket_starts(self) -> List[float]:
-        return [index * self.bucket_s for index in range(len(self))]
-
     def to_dict(self) -> dict:
         return {
             "bucket_s": self.bucket_s,
@@ -87,120 +111,6 @@ class TimeSeries:
             "response_p95_s": self.response_p95,
             "cylinder": self.cylinder,
         }
-
-
-class TimeSeriesBuilder:
-    """Streaming accumulator behind :class:`TimeSeries`.
-
-    Holds one float per touched bucket (dicts keyed by bucket index), plus
-    the responses of the single still-open completion bucket — completion
-    times arrive in order, so earlier buckets are reduced to (mean, p95)
-    and dropped as soon as the stream moves past them.
-    """
-
-    def __init__(self, bucket_s: float = DEFAULT_BUCKET_S) -> None:
-        if bucket_s <= 0:
-            raise ValueError(f"bucket_s must be > 0: {bucket_s}")
-        self.bucket_s = bucket_s
-        self._busy: Dict[int, float] = {}
-        self._depth_weight: Dict[int, float] = {}
-        self._completions: Dict[int, int] = {}
-        self._response_stats: Dict[int, tuple] = {}
-        self._open_bucket: Optional[int] = None
-        self._open_responses: List[float] = []
-        self._cylinder: Dict[int, int] = {}
-        self._depth = 0
-        self._depth_since = 0.0
-        self._end = 0.0
-
-    # -- interval bookkeeping ------------------------------------------- #
-
-    def _spread(self, acc: Dict[int, float], start: float, end: float,
-                rate: float) -> None:
-        """Accumulate ``rate`` seconds-weighted over ``[start, end)``."""
-        if end <= start:
-            return
-        bucket = int(start / self.bucket_s)
-        while start < end:
-            edge = (bucket + 1) * self.bucket_s
-            upto = edge if edge < end else end
-            acc[bucket] = acc.get(bucket, 0.0) + (upto - start) * rate
-            start = upto
-            bucket += 1
-
-    def _advance_depth(self, t: float, depth: int) -> None:
-        self._spread(self._depth_weight, self._depth_since, t, self._depth)
-        self._depth = depth
-        self._depth_since = t
-
-    def _reduce_responses(self) -> None:
-        responses = sorted(self._open_responses)
-        self._response_stats[self._open_bucket] = (
-            math.fsum(responses) / len(responses),
-            percentile(responses, 95.0),
-        )
-        self._open_responses = []
-
-    # -- event feed ------------------------------------------------------ #
-
-    def feed(self, event: dict) -> None:
-        kind = event.get("kind")
-        t = event.get("t", 0.0)
-        if t > self._end:
-            self._end = t
-        if kind == "sim.arrival":
-            self._advance_depth(t, event["queue_depth"])
-        elif kind == "sim.dispatch":
-            # queue_depth is the pending depth *before* the pick.
-            self._advance_depth(t, event["queue_depth"] - 1)
-        elif kind == "dev.access":
-            busy_end = t + event["total"]
-            self._spread(self._busy, t, busy_end, 1.0)
-            if busy_end > self._end:
-                self._end = busy_end
-            cylinder = event.get("cylinder")
-            if cylinder is not None:
-                self._cylinder[int(busy_end / self.bucket_s)] = cylinder
-        elif kind == "sim.complete":
-            bucket = int(t / self.bucket_s)
-            self._completions[bucket] = self._completions.get(bucket, 0) + 1
-            if bucket != self._open_bucket:
-                if self._open_responses:
-                    self._reduce_responses()
-                self._open_bucket = bucket
-            self._open_responses.append(event["response"])
-
-    def finalize(self) -> TimeSeries:
-        """Close out the stream and materialize the per-bucket arrays."""
-        self._advance_depth(self._end, self._depth)
-        if self._open_responses:
-            self._reduce_responses()
-        end = self._end
-        buckets = max(1, math.ceil(end / self.bucket_s)) if end > 0 else 1
-        series = TimeSeries(bucket_s=self.bucket_s, end_time=end)
-        last_cylinder: Optional[int] = None
-        for index in range(buckets):
-            start = index * self.bucket_s
-            width = min(self.bucket_s, end - start) if end > start else 0.0
-            if width > 0:
-                series.utilization.append(self._busy.get(index, 0.0) / width)
-                series.queue_depth.append(
-                    self._depth_weight.get(index, 0.0) / width
-                )
-            else:
-                series.utilization.append(0.0)
-                series.queue_depth.append(0.0)
-            count = self._completions.get(index, 0)
-            series.completions.append(count)
-            series.throughput_iops.append(
-                count / width if width > 0 else 0.0
-            )
-            stats = self._response_stats.get(index)
-            series.response_mean.append(stats[0] if stats else None)
-            series.response_p95.append(stats[1] if stats else None)
-            last_cylinder = self._cylinder.get(index, last_cylinder)
-            series.cylinder.append(last_cylinder)
-        return series
 
 
 @dataclass
@@ -233,15 +143,17 @@ class DispatchStats:
 
 @dataclass
 class TraceAnalysis:
-    """Everything one pass over a trace produces."""
+    """Everything one pass over a trace produces.
+
+    ``result`` holds one row per reconciled span, in trace order.
+    """
 
     meta: dict
     events: int
     requests: Optional[int]
     completed: Optional[int]
     end_time: float
-    summary: SpanSummary
-    response: Histogram
+    result: SimulationResult
     timeseries: TimeSeries
     dispatch: Dict[str, DispatchStats]
     spans_pending: int = 0
@@ -253,24 +165,30 @@ class TraceAnalysis:
         """True when the trace was written through a sampling tracer."""
         return self.meta.get("sample_every", 1) > 1
 
-    def to_dict(self) -> dict:
+    def attribution(self) -> Dict[str, float]:
+        """Mean seconds per lifecycle component, from the column means.
+
+        ``queue``, ``positioning``, ``transfer`` and ``turnarounds`` sum to
+        the mean response time; the positioning sub-phases ``seek_x``,
+        ``seek_y``, ``settle`` and ``rotational_latency`` overlap on MEMS,
+        so they need not sum to ``positioning``.  Raises ``ValueError``
+        when the trace completed nothing.
+        """
+        result = self.result
+        c = result.columns
+        positioning = get_numpy().maximum(
+            c["seek_x"] + c["settle"], c["seek_y"]
+        ) + c["rotational_latency"]
+        phases = result.mean_phase_breakdown()
         return {
-            "meta": self.meta,
-            "events": self.events,
-            "requests": self.requests,
-            "completed": self.completed,
-            "end_time_s": self.end_time,
-            "sampled": self.sampled,
-            "spans": self.summary.to_dict(),
-            "spans_pending": self.spans_pending,
-            "response_s": self.response.to_dict(),
-            "timeseries": self.timeseries.to_dict(),
-            "dispatch": {
-                name: stats.to_dict()
-                for name, stats in sorted(self.dispatch.items())
-            },
-            "obs_windows": self.obs_windows,
-            "slo_violations": self.slo_violations,
+            "queue": result.mean_queue_time,
+            "positioning": math.fsum(positioning.tolist()) / len(result),
+            "transfer": phases["transfer"],
+            "turnarounds": phases["turnarounds"],
+            "seek_x": phases["seek_x"],
+            "seek_y": phases["seek_y"],
+            "settle": phases["settle"],
+            "rotational_latency": phases["rotational_latency"],
         }
 
 
@@ -278,10 +196,14 @@ def analyze_events(
     events: Iterable[dict], bucket_s: float = DEFAULT_BUCKET_S
 ) -> TraceAnalysis:
     """Fold an event stream into a :class:`TraceAnalysis` (one pass)."""
+    check_width("bucket_s", bucket_s)
     builder = SpanBuilder()
-    summary = SpanSummary()
-    response = Histogram("response_time_s")
-    series = TimeSeriesBuilder(bucket_s=bucket_s)
+    rows = {name: array(_TYPECODE[dtype])
+            for name, dtype in COLUMNS if name != "bits_accessed"}
+    appends = [rows[name].append for name, _ in _ROW]
+    add_write = rows["is_write"].append
+    access_end = array("d")
+    access_cylinder = array("q")
     dispatch: Dict[str, DispatchStats] = {}
     meta: dict = {}
     requests: Optional[int] = None
@@ -293,13 +215,20 @@ def analyze_events(
     for event in events:
         count += 1
         kind = event.get("kind")
+        t = event.get("t", 0.0)
+        if t > end_time:
+            end_time = t
         if kind == "trace.meta":
             meta = {k: v for k, v in event.items() if k not in ("kind", "t")}
         elif kind == "sim.start":
             requests = event["requests"]
         elif kind == "sim.end":
             completed = event["completed"]
-            end_time = event["t"]
+        elif kind == "dev.access":
+            cylinder = event.get("cylinder")
+            if cylinder is not None:
+                access_end.append(t + event["total"])
+                access_cylinder.append(cylinder)
         elif kind == "sched.dispatch":
             stats = dispatch.get(event["scheduler"])
             if stats is None:
@@ -315,23 +244,25 @@ def analyze_events(
             obs_windows += 1
         elif kind == "slo.violation":
             slo_violations += 1
-        series.feed(event)
         span = builder.feed(event)
         if span is not None:
-            summary.add(span)
-            response.observe(span.response)
-    timeseries = series.finalize()
-    if end_time <= 0:
-        end_time = timeseries.end_time
+            for append, value in zip(appends, _span_row(span)):
+                append(value)
+            add_write(span.io == "write")
+    completions = len(rows["rid"])
+    result = SimulationResult(
+        {**rows, "bits_accessed": get_numpy().zeros(completions, "int64")}
+        if completions else None,
+        end_time,
+    )
     return TraceAnalysis(
         meta=meta,
         events=count,
         requests=requests,
         completed=completed,
         end_time=end_time,
-        summary=summary,
-        response=response,
-        timeseries=timeseries,
+        result=result,
+        timeseries=_timeseries(result, bucket_s, access_end, access_cylinder),
         dispatch=dispatch,
         spans_pending=builder.pending,
         obs_windows=obs_windows,
@@ -339,10 +270,45 @@ def analyze_events(
     )
 
 
+def _timeseries(
+    result: SimulationResult, bucket_s: float, access_end, access_cylinder
+) -> TimeSeries:
+    """The live fold's ``obs.window`` events over ``result`` as series, with
+    each window's p95 response and the last cylinder reported in it."""
+    np = get_numpy()
+    events = LiveAggregator(window_s=bucket_s).events(result)
+    responses: Dict[int, List[float]] = {}
+    windows = _window_of(result.columns["completion"], bucket_s)
+    for window, response in zip(
+        windows.astype(np.int64).tolist(), result.response_times
+    ):
+        responses.setdefault(window, []).append(response)
+    ends = np.asarray(access_end, dtype=np.float64)
+    last_cylinder = dict(zip(
+        _window_of(ends, bucket_s).astype(np.int64).tolist(), access_cylinder
+    ))
+    series = TimeSeries(bucket_s=bucket_s, end_time=result.end_time)
+    cylinder: Optional[int] = None
+    for event in events:
+        window = event["window"]
+        series.queue_depth.append(event["queue_depth"])
+        series.utilization.append(event["utilization"])
+        series.throughput_iops.append(event["throughput_iops"])
+        series.completions.append(event["completions"])
+        series.response_mean.append(event.get("response_mean"))
+        values = responses.get(window)
+        series.response_p95.append(
+            percentile(sorted(values), 95.0) if values else None
+        )
+        cylinder = last_cylinder.get(window, cylinder)
+        series.cylinder.append(cylinder)
+    return series
+
+
 def analyze_trace(
     path: str, bucket_s: float = DEFAULT_BUCKET_S
 ) -> TraceAnalysis:
-    """Analyze a JSONL trace file (``.jsonl`` or ``.jsonl.gz``), streaming."""
+    """Analyze a JSONL trace file (``.jsonl`` or ``.jsonl.gz``) in one pass."""
     return analyze_events(iter_trace(path), bucket_s=bucket_s)
 
 
@@ -355,16 +321,23 @@ def render_text(analysis: TraceAnalysis, source: str = "<trace>") -> str:
         f"end {analysis.end_time:.6f}s"
         + ("  [sampled]" if analysis.sampled else "")
     )
-    summary = analysis.summary
-    if summary.count:
+    result = analysis.result
+    if len(result):
         lines.append(
-            f"spans: {summary.count} "
-            f"(mean response {summary.mean_response * 1e3:.3f} ms = "
-            f"queue {summary.mean_queue * 1e3:.3f} + "
-            f"service {summary.mean_service * 1e3:.3f})"
+            f"spans: {len(result)} "
+            f"(mean response {result.mean_response_time * 1e3:.3f} ms = "
+            f"queue {result.mean_queue_time * 1e3:.3f} + "
+            f"service {result.mean_service_time * 1e3:.3f})"
+        )
+        pcts = result.percentiles()
+        lines.append(
+            f"response (ms): mean {result.mean_response_time * 1e3:.3f}, "
+            + ", ".join(f"{name} {value * 1e3:.3f}"
+                        for name, value in pcts.items())
+            + f", max {result.max_response_time * 1e3:.3f}"
         )
         lines.append("latency attribution (mean ms):")
-        for phase, value in summary.mean_attribution().items():
+        for phase, value in analysis.attribution().items():
             lines.append(f"  {phase:<20s} {value * 1e3:9.4f}")
     for name in sorted(analysis.dispatch):
         stats = analysis.dispatch[name].to_dict()
@@ -412,9 +385,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="time-series bucket width in milliseconds (default 100)",
     )
     args = parser.parse_args(argv)
-    if args.bucket <= 0:
-        parser.error(f"--bucket must be > 0, got {args.bucket:g}")
-    bucket_s = args.bucket / 1e3
+    try:
+        bucket_s = check_width("--bucket", args.bucket / 1e3)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     try:
         if args.spans:

@@ -12,8 +12,10 @@ does not grow with the window count; for traced runs,
 :func:`splice_trace` interleaves into the trace at their boundary times.
 
 ``obs.window``
-    One per closed window ``[start, end)``: completion and arrival counts,
-    throughput, device utilization, and the time-averaged queue depth.
+    One per closed window ``(start, end]``: completion and arrival counts,
+    throughput, device utilization (busy seconds over the window's width,
+    not capped: over a merged fleet result the devices' busy seconds add
+    up past 1.0), and the time-averaged queue depth.
 ``slo.violation``
     One per SLO window whose observed objective-quantile latency exceeded
     the threshold, with the short- and long-window burn rates.
@@ -412,7 +414,7 @@ class LiveAggregator:
         if end <= 0:
             return []
         keyed = self._window_events(result, end)
-        rows = self._rows(result)
+        rows = self._rows(result) if self.slos else {}
         for grid, spec in enumerate(self.slos, start=1):
             if rows[spec.cls][1]:
                 keyed.extend(self._violations(grid, spec, end, *rows[spec.cls]))
@@ -473,9 +475,7 @@ class LiveAggregator:
                 "start": start, "end": stop,
                 "arrivals": arrivals.get(window, 0), "completions": done_here,
                 "throughput_iops": done_here / span if span > 0 else 0.0,
-                "utilization": (
-                    min(busy.get(window, 0.0) / span, 1.0) if span > 0 else 0.0
-                ),
+                "utilization": busy.get(window, 0.0) / span if span > 0 else 0.0,
                 "queue_depth": area / span if span > 0 else 0.0,
             }
             if done_here:

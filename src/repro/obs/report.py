@@ -216,7 +216,7 @@ def _analysis_sections(
     doc: Document, analysis: "TraceAnalysis", label: Optional[str] = None
 ) -> None:
     prefix = f"{label} — " if label else ""
-    summary = analysis.summary
+    result = analysis.result
     doc.heading(f"{prefix}run summary")
     doc.table(
         ["metric", "value"],
@@ -226,48 +226,39 @@ def _analysis_sections(
             ["completed", fmt(analysis.completed)],
             ["end time (s)", fmt(analysis.end_time)],
             ["sampled", fmt(analysis.sampled)],
-            ["spans", fmt(summary.count)],
+            ["spans", fmt(len(result))],
             ["in flight at end", fmt(analysis.spans_pending)],
         ],
     )
-    if summary.count:
+    if len(result):
         doc.heading(f"{prefix}latency attribution (mean ms)", level=3)
-        attribution = summary.mean_attribution()
+        attribution = analysis.attribution()
+        mean = result.mean_response_time
         doc.table(
             ["component", "mean (ms)", "share of response"],
             [
                 [
                     phase,
-                    fmt_ms(attribution[phase]),
-                    f"{attribution[phase] / summary.mean_response:.2%}"
+                    fmt_ms(value),
+                    f"{value / mean:.2%}"
                     if phase in ("queue", "positioning", "transfer",
                                  "turnarounds")
                     else "—",
                 ]
-                for phase in (
-                    "queue",
-                    "positioning",
-                    "transfer",
-                    "turnarounds",
-                    "seek_x",
-                    "seek_y",
-                    "settle",
-                    "rotational_latency",
-                )
+                for phase, value in attribution.items()
             ],
         )
-        response = analysis.response.to_dict()
+        percentiles = result.percentiles()
         doc.table(
             ["response time", "mean (ms)", "p50 (ms)", "p95 (ms)",
-             "p99 (ms)", "max (ms)", "exact"],
+             "p99 (ms)", "max (ms)"],
             [[
                 "all spans",
-                fmt_ms(response["mean"]),
-                fmt_ms(response["p50"]),
-                fmt_ms(response["p95"]),
-                fmt_ms(response["p99"]),
-                fmt_ms(response["max"]),
-                fmt(response["exact"]),
+                fmt_ms(mean),
+                fmt_ms(percentiles["p50"]),
+                fmt_ms(percentiles["p95"]),
+                fmt_ms(percentiles["p99"]),
+                fmt_ms(result.max_response_time),
             ]],
         )
     if analysis.dispatch:

@@ -17,8 +17,9 @@ test suite pins this bit-for-bit on ≥1000-request runs for both devices
 and all four layouts.
 
 The builder is *streaming*: it holds only the requests currently in flight
-(bounded by the pending-queue depth, not the trace length), so multi-GB
-JSONL traces fold in one pass under constant memory.  Sampled traces
+(bounded by the pending-queue depth, not the trace length), so
+:func:`iter_spans` folds a multi-GB JSONL trace in one pass under
+constant memory.  Sampled traces
 (:class:`~repro.obs.tracer.SamplingTracer`) work unchanged — sampling is
 per ``rid``, so every surviving request still has all of its events.
 """
@@ -234,95 +235,6 @@ def iter_spans(events: Iterable[dict]) -> Iterator[Span]:
         span = builder.feed(event)
         if span is not None:
             yield span
-
-
-@dataclass
-class SpanSummary:
-    """Streaming aggregate over spans: the latency-attribution table.
-
-    Means are exact (computed from running sums); :meth:`mean_response`
-    etc. divide at read time, so feeding order doesn't matter.
-    """
-
-    count: int = 0
-    queue_sum: float = 0.0
-    service_sum: float = 0.0
-    response_sum: float = 0.0
-    seek_x_sum: float = 0.0
-    seek_y_sum: float = 0.0
-    settle_sum: float = 0.0
-    rotational_latency_sum: float = 0.0
-    transfer_sum: float = 0.0
-    turnarounds_sum: float = 0.0
-    positioning_sum: float = 0.0
-
-    def add(self, span: Span) -> None:
-        self.count += 1
-        self.queue_sum += span.queue
-        self.service_sum += span.service
-        self.response_sum += span.response
-        self.seek_x_sum += span.seek_x
-        self.seek_y_sum += span.seek_y
-        self.settle_sum += span.settle
-        self.rotational_latency_sum += span.rotational_latency
-        self.transfer_sum += span.transfer
-        self.turnarounds_sum += span.turnarounds
-        self.positioning_sum += span.positioning
-
-    def _mean(self, total: float) -> float:
-        if self.count == 0:
-            raise ValueError("no spans summarized")
-        return total / self.count
-
-    @property
-    def mean_queue(self) -> float:
-        return self._mean(self.queue_sum)
-
-    @property
-    def mean_service(self) -> float:
-        return self._mean(self.service_sum)
-
-    @property
-    def mean_response(self) -> float:
-        return self._mean(self.response_sum)
-
-    def mean_attribution(self) -> Dict[str, float]:
-        """Mean seconds per lifecycle component — the report's main table.
-
-        Keys: ``queue``, ``positioning``, ``transfer``, ``turnarounds``
-        (summing to the mean response time), plus the positioning
-        sub-phases ``seek_x``/``seek_y``/``settle``/``rotational_latency``
-        (which overlap on MEMS, so they don't sum to ``positioning``).
-        """
-        return {
-            "queue": self._mean(self.queue_sum),
-            "positioning": self._mean(self.positioning_sum),
-            "transfer": self._mean(self.transfer_sum),
-            "turnarounds": self._mean(self.turnarounds_sum),
-            "seek_x": self._mean(self.seek_x_sum),
-            "seek_y": self._mean(self.seek_y_sum),
-            "settle": self._mean(self.settle_sum),
-            "rotational_latency": self._mean(self.rotational_latency_sum),
-        }
-
-    def to_dict(self) -> dict:
-        if self.count == 0:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean_queue_s": self.mean_queue,
-            "mean_service_s": self.mean_service,
-            "mean_response_s": self.mean_response,
-            "mean_attribution_s": self.mean_attribution(),
-        }
-
-
-def summarize_spans(spans: Iterable[Span]) -> SpanSummary:
-    """Aggregate spans into a :class:`SpanSummary` (one streaming pass)."""
-    summary = SpanSummary()
-    for span in spans:
-        summary.add(span)
-    return summary
 
 
 def reconcile(

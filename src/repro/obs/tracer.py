@@ -45,7 +45,7 @@ Event kinds emitted by the stack:
     member-originated event additionally carries a ``member`` field.
 ``obs.window``
     One closed live-aggregation window (:mod:`repro.obs.live`): the
-    ``[start, end)`` interval in simulated time with its completion and
+    ``(start, end]`` interval in simulated time with its completion and
     arrival counts, throughput, device utilization, and time-averaged
     queue depth.  Spliced into a traced live run's trace at the
     window-boundary time, ahead of the first event past the boundary.
@@ -59,10 +59,10 @@ Event kinds emitted by the stack:
 
 Sinks: :class:`RingBufferTracer` (in-memory, bounded), :class:`JsonlTracer`
 (one JSON object per line, with a ``trace.meta`` header; transparently
-gzipped for ``*.gz`` paths), :class:`TeeTracer` (fan-out),
-:class:`SamplingTracer` (deterministic per-request sampling), and
-:class:`~repro.obs.metrics.MetricsTracer` (folds events into a
-:class:`~repro.obs.metrics.MetricsRegistry` online).
+gzipped for ``*.gz`` paths), :class:`TeeTracer` (fan-out), and
+:class:`SamplingTracer` (deterministic per-request sampling).  A recorded
+trace reads back into the run's result columns through
+:mod:`repro.obs.analyze`.
 """
 
 from __future__ import annotations

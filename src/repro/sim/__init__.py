@@ -14,11 +14,12 @@ Public surface:
 * :class:`~repro.sim.statistics.SimulationResult` — run metrics.
 """
 
+import importlib
+
 from repro.sim.batch import RequestBatch
 from repro.sim.config import DEVICES, SimConfig, WORKLOADS, make_device
 from repro.sim.device import StorageDevice
 from repro.sim.engine import QueueOverflowError, Simulation, simulate
-from repro.sim.replication import ReplicationResult, replicate
 from repro.sim.request import SECTOR_BYTES, AccessResult, IOKind, Request, RequestRecord
 from repro.sim.statistics import SimulationResult, squared_coefficient_of_variation
 
@@ -42,3 +43,17 @@ __all__ = [
     "simulate",
     "squared_coefficient_of_variation",
 ]
+
+
+def __getattr__(name: str):
+    # replicate and ReplicationResult resolve on first access (PEP 562), so
+    # a process that never replicates does not import repro.sim.replication.
+    if name not in ("ReplicationResult", "replicate"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("repro.sim.replication"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

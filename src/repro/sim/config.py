@@ -28,13 +28,10 @@ from typing import (
 )
 
 from repro.core.registry import Registry
-from repro.obs.live import (
-    DEFAULT_WINDOW_S, LiveAggregator, LiveSummary, SLOSpec, check_width,
-    splice_trace, stream_path,
-)
 from repro.obs.tracer import JsonlTracer, NULL_TRACER, SamplingTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.live import LiveAggregator, LiveSummary, SLOSpec
     from repro.sim.batch import RequestBatch
     from repro.sim.device import StorageDevice
     from repro.sim.engine import Simulation
@@ -212,15 +209,20 @@ class SimConfig:
         if self.trace_sample is not None and self.trace_sample < 1:
             raise ValueError(f"trace_sample must be >= 1: {self.trace_sample}")
         if self.live_window is not None:
+            from repro.obs.live import check_width
+
             check_width("live_window", self.live_window)
         slos = tuple(self.slos)
         object.__setattr__(self, "slos", slos)
-        for index, spec in enumerate(slos):
-            if not isinstance(spec, SLOSpec):
-                raise TypeError(
-                    f"slos[{index}] is {type(spec).__name__}, expected "
-                    f"SLOSpec (use SLOSpec.from_dict for serialized specs)"
-                )
+        if slos:
+            from repro.obs.live import SLOSpec
+
+            for index, spec in enumerate(slos):
+                if not isinstance(spec, SLOSpec):
+                    raise TypeError(
+                        f"slos[{index}] is {type(spec).__name__}, expected "
+                        f"SLOSpec (use SLOSpec.from_dict for serialized specs)"
+                    )
 
     # -- builders ----------------------------------------------------------- #
 
@@ -294,10 +296,15 @@ class SimConfig:
         window events.
         """
         live: Optional[LiveAggregator] = None
+        stream = None
         if self.live_enabled:
-            live = LiveAggregator(self.live_window or DEFAULT_WINDOW_S, self.slos)
-        trace_path = self.trace_path if live is not None and tracer is None else None
-        stream = None if trace_path is None else stream_path(trace_path)
+            import repro.obs.live as fold
+
+            live = fold.LiveAggregator(
+                self.live_window or fold.DEFAULT_WINDOW_S, self.slos
+            )
+            if self.trace_path is not None and tracer is None:
+                stream = fold.stream_path(self.trace_path)
         config = self if stream is None else self.replace(trace_path=stream)
         own_tracer = tracer is None
         if tracer is None:
@@ -317,8 +324,8 @@ class SimConfig:
             if live is not None and stream is not None:
                 events = live.events(result)
         finally:
-            if stream is not None and trace_path is not None:
-                splice_trace(stream, trace_path, events)
+            if stream is not None and self.trace_path is not None:
+                fold.splice_trace(stream, self.trace_path, events)
         summary = live.summary(result) if live is not None else None
         return result.drop_warmup(self.warmup), summary
 
@@ -346,6 +353,8 @@ class SimConfig:
             )
         fields = check_config_keys(cls, data)
         if fields.get("slos"):
+            from repro.obs.live import SLOSpec
+
             fields["slos"] = tuple(
                 spec if isinstance(spec, SLOSpec) else SLOSpec.from_dict(spec)
                 for spec in fields["slos"]

@@ -1,6 +1,7 @@
 """End-to-end fleet tests: determinism across jobs, merge, equivalence."""
 
 import json
+import math
 
 import pytest
 
@@ -174,11 +175,27 @@ class TestMergedTrace:
         fleet = small_fleet(num_requests=300, trace_path=str(trace))
         result = fleet.run()
         analysis = analyze_trace(str(trace))
-        assert analysis.summary.count == 300
+        assert len(analysis.result) == 300
         assert analysis.spans_pending == 0
-        assert analysis.summary.mean_response == pytest.approx(
+        assert analysis.result.mean_response_time == pytest.approx(
             result.combined.mean_response_time
         )
+
+    def test_analysis_folds_every_device(self, tmp_path):
+        """The windowed fold over a merged trace adds up all four devices'
+        busy time: nothing is lost, and a window can exceed 1.0."""
+        trace = tmp_path / "fleet.jsonl"
+        result = small_fleet(trace_path=str(trace)).run()
+        series = analyze_trace(str(trace)).timeseries
+        widths = [
+            min(series.bucket_s, series.end_time - index * series.bucket_s)
+            for index in range(len(series))
+        ]
+        busy = math.fsum(u * w for u, w in zip(series.utilization, widths))
+        service = math.fsum(result.combined.service_times)
+        assert math.isclose(busy, service, rel_tol=1e-9)
+        assert sum(series.completions) == len(result.combined) == 2000
+        assert max(series.utilization) > 1.0
 
 
 class TestShardTracePath:

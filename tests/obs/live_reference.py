@@ -315,7 +315,7 @@ class StreamingLiveAggregator(Tracer):
             "arrivals": self._arrivals,
             "completions": completions,
             "throughput_iops": completions / width if width > 0 else 0.0,
-            "utilization": min(busy / width, 1.0) if width > 0 else 0.0,
+            "utilization": busy / width if width > 0 else 0.0,
             "queue_depth": self._depth_area / width if width > 0 else 0.0,
         }
         if completions:

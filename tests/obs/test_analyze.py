@@ -1,8 +1,10 @@
-"""Streaming trace analysis: bucket conservation and the analyze CLI.
+"""Trace analysis: the run read back from its trace, and the analyze CLI.
 
-The time-series accumulators must *conserve*: per-bucket completions sum
-to the run's completion count, and per-bucket busy seconds sum to the
-run's total service time — the bucketing only redistributes, never loses.
+The analysis rebuilds the run's result columns from the trace, so its
+summaries are the run's own.  The time series must *conserve*:
+per-window completions sum to the run's completion count, and per-window
+busy seconds sum to the run's total service time — the windowing only
+redistributes, never loses.
 """
 
 import json
@@ -12,12 +14,12 @@ import pytest
 
 from repro.obs.analyze import (
     DEFAULT_BUCKET_S,
-    TimeSeriesBuilder,
     analyze_events,
     analyze_trace,
     main,
     render_text,
 )
+from repro.obs.metrics import percentile
 from repro.obs.tracer import RingBufferTracer
 from repro.sim import SimConfig
 
@@ -39,10 +41,33 @@ def analysis(traced_run):
 
 
 def bucket_widths(series):
-    widths = []
-    for start in series.bucket_starts():
-        widths.append(max(0.0, min(series.bucket_s, series.end_time - start)))
-    return widths
+    """Window ``k`` covers ``(k*W, (k+1)*W]``, the last one up to the end."""
+    width = series.bucket_s
+    return [
+        min(width, series.end_time - index * width)
+        for index in range(len(series))
+    ]
+
+
+def window_of(t, width):
+    """The first window ``k`` whose boundary ``(k + 1) * width`` is >= t."""
+    index = max(0, math.ceil(t / width) - 1)
+    while (index + 1) * width < t:
+        index += 1
+    while index and index * width >= t:
+        index -= 1
+    return index
+
+
+def run_response_line(result):
+    """The response line ``render_text`` prints for ``result``'s digits."""
+    pcts = result.percentiles()
+    return (
+        f"response (ms): mean {result.mean_response_time * 1e3:.3f}, "
+        f"p50 {pcts['p50'] * 1e3:.3f}, p95 {pcts['p95'] * 1e3:.3f}, "
+        f"p99 {pcts['p99'] * 1e3:.3f}, "
+        f"max {result.max_response_time * 1e3:.3f}"
+    )
 
 
 class TestConservation:
@@ -50,7 +75,7 @@ class TestConservation:
         _, result = traced_run
         assert sum(analysis.timeseries.completions) == len(result)
         assert analysis.completed == len(result)
-        assert analysis.summary.count == len(result)
+        assert len(analysis.result) == len(result)
 
     def test_busy_seconds_sum_to_total_service(self, traced_run, analysis):
         _, result = traced_run
@@ -79,8 +104,9 @@ class TestConservation:
         by_bucket = {}
         for event in events:
             if event["kind"] == "sim.complete":
-                bucket = int(event["t"] / series.bucket_s)
+                bucket = window_of(event["t"], series.bucket_s)
                 by_bucket.setdefault(bucket, []).append(event["response"])
+        assert set(by_bucket) <= set(range(len(series)))
         for index in range(len(series)):
             responses = by_bucket.get(index)
             if responses is None:
@@ -91,6 +117,9 @@ class TestConservation:
                     series.response_mean[index],
                     math.fsum(responses) / len(responses),
                     rel_tol=1e-12,
+                )
+                assert series.response_p95[index] == percentile(
+                    sorted(responses), 95
                 )
 
     def test_queue_depth_time_weighted_mean(self, traced_run, analysis):
@@ -125,13 +154,10 @@ class TestConservation:
 
     def test_percentiles_match_result(self, traced_run, analysis):
         _, result = traced_run
-        stats = analysis.response.to_dict()
-        assert stats["count"] == len(result)
-        assert math.isclose(
-            stats["p95"],
-            result.response_time_percentile(95),
-            rel_tol=1e-12,
-        )
+        rebuilt = analysis.result
+        assert rebuilt.percentiles() == result.percentiles()
+        assert rebuilt.mean_response_time == result.mean_response_time
+        assert rebuilt.max_response_time == result.max_response_time
 
     def test_dispatch_stats_account_for_candidates(self, analysis):
         stats = analysis.dispatch["SPTF"]
@@ -146,9 +172,11 @@ class TestConservation:
         assert analysis.spans_pending == 0
         assert analysis.requests == 800
 
-    def test_render_text_mentions_the_essentials(self, analysis):
+    def test_render_text_mentions_the_essentials(self, traced_run, analysis):
+        _, result = traced_run
         text = render_text(analysis, source="run.jsonl")
         assert "spans: 800" in text
+        assert run_response_line(result) in text.splitlines()
         assert "scheduler SPTF" in text
         assert "[sampled]" not in text
 
@@ -156,7 +184,7 @@ class TestConservation:
 class TestBucketing:
     def test_rejects_non_positive_bucket(self):
         with pytest.raises(ValueError, match="bucket_s"):
-            TimeSeriesBuilder(bucket_s=0.0)
+            analyze_events(iter(()), bucket_s=0.0)
 
     def test_bucket_width_changes_bucket_count(self, traced_run):
         events, _ = traced_run
@@ -165,11 +193,13 @@ class TestBucketing:
         assert len(fine) > len(coarse) >= 1
         assert sum(fine.completions) == sum(coarse.completions)
 
-    def test_empty_stream_yields_one_empty_bucket(self):
+    def test_empty_stream_yields_no_buckets(self):
+        # A run that never advanced closes no window.
         analysis = analyze_events(iter(()))
-        assert len(analysis.timeseries) == 1
-        assert analysis.timeseries.completions == [0]
-        assert analysis.summary.count == 0
+        assert len(analysis.timeseries) == 0
+        assert len(analysis.result) == 0
+        with pytest.raises(ValueError, match="no completed requests"):
+            analysis.attribution()
 
 
 class TestAnalyzeCLI:
@@ -216,7 +246,42 @@ class TestAnalyzeCLI:
             main([trace_path, "--bucket", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("width", ["nan", "inf", "-inf"])
+    def test_non_finite_bucket_is_a_usage_error(self, trace_path, width,
+                                                capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([trace_path, "--timeseries", f"--bucket={width}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert errors == [
+            f"python -m repro.obs.analyze: error: --bucket must be finite "
+            f"and > 0: {float(width) / 1e3}"
+        ]
+
     def test_analyze_trace_matches_in_memory(self, trace_path):
         from_file = analyze_trace(trace_path, bucket_s=DEFAULT_BUCKET_S)
-        assert from_file.summary.count == 300
+        assert len(from_file.result) == 300
         assert from_file.meta["schema"] == "repro-trace/2"
+
+
+class TestLongTrace:
+    def test_analysis_is_the_run_past_65536_completions(self, tmp_path):
+        """A 70,000-completion trace reads back into the run's own digits:
+        the percentiles are over every completion, not a sample."""
+        path = tmp_path / "long.jsonl"
+        result = SimConfig(
+            device="mems", scheduler="FCFS", rate=300.0,
+            num_requests=70_000, warmup=0, trace_path=str(path),
+        ).run()
+        analysis = analyze_trace(str(path))
+        path.unlink()  # 60 MB
+        rebuilt = analysis.result
+        assert len(rebuilt) == len(result) == 70_000
+        assert rebuilt.mean_response_time == result.mean_response_time
+        assert rebuilt.percentiles() == result.percentiles()
+        assert rebuilt.max_response_time == result.max_response_time
+        lines = render_text(analysis).splitlines()
+        assert run_response_line(result) in lines

@@ -53,14 +53,14 @@ class TestTraceFixtures:
         series = analysis.timeseries
         assert sum(series.completions) == analysis.completed
         widths = [
-            min(series.bucket_s, series.end_time - start)
-            for start in series.bucket_starts()
+            min(series.bucket_s, series.end_time - index * series.bucket_s)
+            for index in range(len(series))
         ]
         busy = math.fsum(
             u * w for u, w in zip(series.utilization, widths)
         )
         assert math.isclose(
-            busy, analysis.summary.service_sum, rel_tol=1e-9
+            busy, math.fsum(analysis.result.service_times), rel_tol=1e-9
         )
 
 

@@ -1,124 +1,106 @@
-"""Unit tests for counters/histograms/metrics (repro.obs.metrics)."""
+"""Unit tests for the run metrics registry (repro.obs.metrics)."""
 
+import pathlib
 import random
 
 import pytest
 
-from repro.obs.metrics import (
-    ACCESS_PHASES,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    MetricsTracer,
-    replay_metrics,
-)
-from repro.sim import SimConfig
+from repro.obs.metrics import ACCESS_PHASES, MetricsRegistry, percentile
+from repro.sim import SimConfig, SimulationResult
+from repro.sim.statistics import COLUMNS
+
+
+def result_of(responses, end_time=1.0):
+    """A result whose requests arrive and dispatch at 0 and take
+    ``responses[i]`` seconds of service, so response == service."""
+    count = len(responses)
+    columns = {name: [0] * count for name, _ in COLUMNS}
+    columns["rid"] = list(range(count))
+    columns["completion"] = list(responses)
+    columns["total"] = list(responses)
+    columns["seek_x"] = list(responses)
+    return SimulationResult(columns if count else None, end_time=end_time)
+
+
+def histogram(values, name="response_time_s"):
+    return MetricsRegistry.from_result(result_of(values)).histograms[name]
 
 
 class TestCounter:
     def test_inc(self):
-        counter = Counter("x")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("x").inc(-1.0)
+        # A counter is its column added up left to right, one float add per
+        # completion (not a compensated or pairwise sum).
+        values = [0.1] * 10
+        registry = MetricsRegistry.from_result(result_of(values))
+        total = 0.0
+        for value in values:
+            total += value
+        assert registry.counters["phase.seek_x_s"] == total
+        assert total != 1.0  # fsum and Python 3.12's sum() give 1.0
+        assert registry.counters["requests"] == 10
 
 
 class TestHistogram:
     def test_exact_percentile_matches_sorted_interpolation(self):
         rng = random.Random(7)
         values = [rng.random() for _ in range(500)]
-        histogram = Histogram("h")
-        for value in values:
-            histogram.observe(value)
-        assert histogram.exact
+        row = histogram(values)
         ordered = sorted(values)
         # p50 with 500 samples: rank 0.5*499 = 249.5 -> midpoint
-        expected = (ordered[249] + ordered[250]) / 2
-        assert histogram.percentile(50) == pytest.approx(expected, rel=1e-12)
-        assert histogram.percentile(100) == max(values)
+        expected = ordered[249] * 0.5 + ordered[250] * 0.5
+        assert row["p50"] == expected
+        assert row["p99"] == percentile(ordered, 99)
+        assert row["max"] == max(values)
 
     def test_min_max_mean_count(self):
-        histogram = Histogram("h")
-        for value in (3.0, 1.0, 2.0):
-            histogram.observe(value)
-        assert histogram.count == 3
-        assert histogram.min == 1.0
-        assert histogram.max == 3.0
-        assert histogram.mean == pytest.approx(2.0)
-
-    def test_reservoir_degrades_deterministically(self):
-        def build():
-            histogram = Histogram("h", reservoir=32)
-            for value in range(1000):
-                histogram.observe(float(value))
-            return histogram
-
-        a, b = build(), build()
-        assert not a.exact
-        assert a.count == 1000
-        assert a.percentile(50) == b.percentile(50)
-        # exact stats survive sampling
-        assert a.min == 0.0 and a.max == 999.0 and a.mean == 499.5
+        row = histogram([3.0, 1.0, 2.0])
+        assert row["count"] == 3
+        assert row["min"] == 1.0
+        assert row["max"] == 3.0
+        assert row["mean"] == 2.0
 
     def test_empty_histogram_raises(self):
-        with pytest.raises(ValueError):
-            Histogram("h").percentile(50)
-        with pytest.raises(ValueError):
-            Histogram("h").mean
+        # The one percentile raises on no values; the registry of an empty
+        # run holds count-0 rows and renders them "(empty)".
+        with pytest.raises(ValueError, match="no values"):
+            percentile([], 50)
+        registry = MetricsRegistry.from_result(result_of([]))
+        assert registry.histograms["response_time_s"] == {"count": 0}
+        assert "response_time_s              (empty)" in registry.render_text()
 
     def test_bad_percentile(self):
-        histogram = Histogram("h")
-        histogram.observe(1.0)
         with pytest.raises(ValueError):
-            histogram.percentile(0)
+            percentile([1.0], 0)
         with pytest.raises(ValueError):
-            histogram.percentile(101)
+            percentile([1.0], 101)
 
     def test_to_dict(self):
-        histogram = Histogram("h")
-        assert histogram.to_dict() == {"count": 0}
-        histogram.observe(1.0)
-        summary = histogram.to_dict()
-        assert summary["count"] == 1
-        assert summary["p50"] == 1.0
-        assert summary["exact"] is True
+        summary = MetricsRegistry.from_result(result_of([1.0])).to_dict()
+        row = summary["histograms"]["response_time_s"]
+        assert row["count"] == 1
+        assert row["p50"] == 1.0
+        assert summary["gauges"]["utilization"] == 1.0
 
 
 class TestMetricsRegistry:
-    def test_create_on_use(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.histogram("b").observe(1.0)
-        registry.set_gauge("c", 2.0)
-        assert registry.counter("a") is registry.counters["a"]
-        assert registry.to_dict()["gauges"]["c"] == 2.0
-
     def test_from_result_matches_result_percentiles(self):
         result = SimConfig(rate=500.0, num_requests=400, warmup=50).run()
-        registry = MetricsRegistry.from_result(result)
-        histogram = registry.histograms["response_time_s"]
+        row = MetricsRegistry.from_result(result).histograms["response_time_s"]
         for pct in (50, 95, 99):
-            assert histogram.percentile(pct) == result.response_time_percentile(
-                pct
-            )
-        expected = result.percentiles(50, 95, 99)
-        assert histogram.percentiles(50, 95, 99) == expected
+            assert row[f"p{pct}"] == result.response_time_percentile(pct)
+        assert row["max"] == result.max_response_time
+        assert row["count"] == len(result)
 
     def test_from_result_phase_totals(self):
         result = SimConfig(rate=500.0, num_requests=200).run()
         registry = MetricsRegistry.from_result(result)
         for phase in ACCESS_PHASES:
-            counter = registry.counters[f"phase.{phase}_s"]
             total = sum(getattr(r.access, phase) for r in result.records)
-            assert counter.value == pytest.approx(total, rel=1e-12)
-        assert registry.counters["requests"].value == len(result.records)
-        assert registry.gauges["utilization"] == pytest.approx(
-            result.utilization
-        )
+            assert registry.counters[f"phase.{phase}_s"] == pytest.approx(
+                total, rel=1e-12
+            )
+        assert registry.counters["requests"] == len(result.records)
+        assert registry.gauges["utilization"] == result.utilization
 
     def test_render_text(self):
         result = SimConfig(rate=500.0, num_requests=200).run()
@@ -129,33 +111,29 @@ class TestMetricsRegistry:
         assert "p95" in text
 
 
-class TestMetricsTracer:
-    def test_online_matches_offline(self):
-        sink = MetricsTracer()
-        config = SimConfig(rate=800.0, num_requests=600)
-        result = config.run(tracer=sink)
-        registry = sink.registry
-        offline = MetricsRegistry.from_result(result)
-        assert (
-            registry.counters["completions"].value
-            == offline.counters["requests"].value
-        )
-        assert registry.histograms["response_time_s"].percentile(
-            95
-        ) == offline.histograms["response_time_s"].percentile(95)
-        assert registry.gauges["utilization"] == pytest.approx(
-            result.utilization
-        )
-        # online-only signals
-        assert registry.counters["arrivals"].value == 600
-        assert registry.histograms["queue_depth"].count == 600
+GOLDEN_METRICS = {
+    "metrics-simulate-mems.txt": (
+        "simulate", "--device", "mems", "--scheduler", "SPTF",
+        "--rate", "1000", "--requests", "3000", "--seed", "7", "--metrics",
+    ),
+    "metrics-simulate-atlas10k.txt": (
+        "simulate", "--device", "atlas10k", "--scheduler", "C-LOOK",
+        "--rate", "150", "--requests", "2000", "--seed", "7", "--metrics",
+    ),
+    "metrics-fleet.txt": (
+        "fleet", "--members", "4", "--rate", "3200", "--requests", "2000",
+        "--seed", "7", "--jobs", "1", "--metrics",
+    ),
+}
+"""Committed CLI output -> the command that printed it.  The files were
+written by the reservoir-histogram registry this one replaced; the text
+must not move by a byte."""
 
-    def test_replay_from_ring_buffer(self):
-        from repro.obs.tracer import RingBufferTracer
 
-        ring = RingBufferTracer()
-        config = SimConfig(rate=800.0, num_requests=300)
-        config.run(tracer=ring)
-        registry = replay_metrics(ring.events)
-        assert registry.counters["completions"].value == 300
-        assert registry.counters["device_busy_s"].value > 0
+@pytest.mark.parametrize("name", sorted(GOLDEN_METRICS))
+def test_cli_metrics_text_is_golden(name, capsys):
+    from repro.__main__ import main
+
+    assert main(list(GOLDEN_METRICS[name])) == 0
+    golden = pathlib.Path(__file__).parent / "fixtures" / name
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

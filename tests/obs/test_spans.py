@@ -17,13 +17,8 @@ from repro.core.scheduling import make_scheduler
 from repro.disk.atlas10k import atlas_10k
 from repro.disk.device import DiskDevice
 from repro.mems.device import MEMSDevice
-from repro.obs.spans import (
-    SpanBuilder,
-    SpanError,
-    iter_spans,
-    reconcile,
-    summarize_spans,
-)
+from repro.obs.analyze import analyze_events
+from repro.obs.spans import SpanBuilder, SpanError, iter_spans, reconcile
 from repro.obs.tracer import RingBufferTracer
 from repro.sim import SimConfig, Simulation
 from repro.sim.request import IOKind, Request
@@ -88,22 +83,17 @@ class TestReconciliationRandomWorkload:
 
     def test_attribution_sums_to_mean_response(self):
         events, result = traced_config_run("mems", 700.0, 1200)
-        summary = summarize_spans(iter_spans(events))
-        attribution = summary.mean_attribution()
+        analysis = analyze_events(iter(events))
+        attribution = analysis.attribution()
         lifecycle = (
             attribution["queue"]
             + attribution["positioning"]
             + attribution["transfer"]
             + attribution["turnarounds"]
         )
-        assert math.isclose(
-            lifecycle, summary.mean_response, rel_tol=RECONCILE_TOL
-        )
-        assert math.isclose(
-            summary.mean_response,
-            result.mean_response_time,
-            rel_tol=RECONCILE_TOL,
-        )
+        mean_response = analysis.result.mean_response_time
+        assert math.isclose(lifecycle, mean_response, rel_tol=RECONCILE_TOL)
+        assert mean_response == result.mean_response_time
 
     def test_spans_carry_scheduler_and_device(self):
         events, _ = traced_config_run("mems", 700.0, 1200)
@@ -193,6 +183,8 @@ class TestSpanBuilder:
             reconcile(spans, result.mean_response_time * 1.01)
 
     def test_summary_empty_raises(self):
-        summary = summarize_spans(())
-        with pytest.raises(ValueError, match="no spans"):
-            summary.mean_response
+        analysis = analyze_events(iter(()))
+        with pytest.raises(ValueError, match="no completed requests"):
+            analysis.attribution()
+        with pytest.raises(ValueError, match="no completed requests"):
+            analysis.result.mean_response_time

@@ -7,7 +7,9 @@ module on first lookup, and the CLI imports each subcommand's modules in
 its handler.  So importing the CLI loads neither scipy (not a runtime
 dependency) nor numpy (imported lazily through
 :func:`repro.nputil.get_numpy`), nor any device model, workload, fleet,
-array or experiment module.  Pool workers are forked, so they inherit the
+array or experiment module, nor the live fold (``repro.obs.live`` and its
+sketches, loaded by ``--live-window``/``--slo`` runs) or
+``repro.sim.replication``.  Pool workers are forked, so they inherit the
 parent's modules; ``parallel_map`` imports numpy in the parent before
 forking, so no worker has to import it again.
 """
@@ -65,7 +67,8 @@ def test_cli_import_loads_no_subcommand_module():
         "print(loaded('repro.fleet', 'repro.array', 'repro.ecc',"
         " 'repro.experiments', 'repro.mems', 'repro.disk', 'repro.workloads',"
         " 'repro.obs.analyze', 'repro.obs.report', 'repro.obs.spans',"
-        " 'repro.obs.prof', 'repro.obs.validate'))\n"
+        " 'repro.obs.prof', 'repro.obs.validate', 'repro.obs.live',"
+        " 'repro.obs.sketch', 'repro.sim.replication'))\n"
     )
     assert out == "[]"
 
