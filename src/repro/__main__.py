@@ -16,12 +16,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+# numpy's OpenBLAS starts a pool of worker threads when it is imported, one
+# per CPU, and the simulator makes no BLAS or LAPACK call: one thread makes
+# the import cheaper.  It must be set before anything imports numpy; a
+# user's own setting wins.  Pool workers fork after numpy is loaded, so
+# they are unaffected.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Only the registries the parser lists, and the repro.sim names that come
 # with them; each handler imports the modules its subcommand runs.
-from repro.core.scheduling import SCHEDULERS
-from repro.sim import DEVICES, QueueOverflowError, SimConfig
+from repro.core.scheduling import SCHEDULERS  # noqa: E402
+from repro.sim import DEVICES, QueueOverflowError, SimConfig  # noqa: E402
 
 
 def positive_int(text: str) -> int:

@@ -14,6 +14,7 @@ positioning oracle.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Dict, Optional, Tuple
 
 from repro.disk.geometry import DiskGeometry
@@ -207,7 +208,15 @@ class DiskDevice(StorageDevice):
             )
         return result
 
-    def estimate_positioning(self, request: Request, now: float = 0.0) -> float:
+    def estimate_positioning(
+        self, request: Request, now: float = 0.0, limit: float = math.inf
+    ) -> float:
+        """Seek (with head switch and write settle) plus rotational latency.
+
+        Always exact: ``limit`` is accepted for the SPTF walk's oracle
+        contract (exact at or below it, anything in ``(limit, exact]``
+        above), which an exact answer meets.
+        """
         cylinder, surface, angle, _ = self._profile(request)[0]
         seek = self._seek(cylinder, surface, request.kind)
         rev = self._rev

@@ -20,6 +20,7 @@ kinematics (§2.3) into a :class:`repro.sim.StorageDevice`:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -473,24 +474,39 @@ class MEMSDevice(StorageDevice):
             bits_accessed=plan.bits_accessed,
         )
 
-    def estimate_positioning(self, request: Request, now: float = 0.0) -> float:
-        """Positioning-only oracle for SPTF.
+    def estimate_positioning(
+        self, request: Request, now: float = 0.0, limit: float = math.inf
+    ) -> float:
+        """Positioning-only oracle for SPTF: max(X seek + settle, Y seek),
+        the Y seek taken in the cheaper access direction.
 
         Avoids the full multi-segment plan: only the first segment matters
-        for the pre-transfer delay, and both access directions are tried.
-        The request's physical coordinates come from the memoized
-        :meth:`_profile`, so repeated pricing of a queued request only pays
-        for the (state-dependent, planner-cached) seek computations.  With
-        memoization on, the explicit ``validate`` call is elided: the engine
-        validates every request at ingest, and the geometry re-checks the
-        bounds whenever a profile is actually derived, so an out-of-range
-        request still raises ``ValueError``.
+        for the pre-transfer delay.  The request's physical coordinates
+        come from the memoized :meth:`_profile`, so repeated pricing of a
+        queued request only pays for the (state-dependent, planner-cached)
+        seek computations.  With memoization on, the explicit ``validate``
+        call is elided: the engine validates every request at ingest, and
+        the geometry re-checks the bounds whenever a profile is actually
+        derived, so an out-of-range request still raises ``ValueError``.
+
+        The delay is exact whenever it is at most ``limit``; above it the
+        result is any value in ``(limit, exact]``.  The two Y seeks are
+        priced first, and when the cheaper one already exceeds ``limit``
+        it is returned as is, skipping the X seek.
         """
         if not self._memoize:
             self.validate(request)
         planner = self.planner
         state = self._state
         profile = self._profile(request.lbn, request.sectors)
+        y_rightward = planner._y_rightward
+        y_floor = y_rightward(state.y, state.vy, profile.y_first_low)
+        if self._bidirectional:
+            reverse = y_rightward(-state.y, -state.vy, -profile.y_first_high)
+            if reverse < y_floor:
+                y_floor = reverse
+        if y_floor > limit:
+            return y_floor
         # Same canonical-entry shortcut as the single-pass service path.
         x0 = state.x
         x_target = profile.x_target
@@ -499,18 +515,8 @@ class MEMSDevice(StorageDevice):
         else:
             x_time, settle = planner._x_pair_canonical(x0, x_target)
         x_component = x_time + settle
-        best = planner._y_rightward(state.y, state.vy, profile.y_first_low)
-        if x_component > best:
-            best = x_component
-        if self.params.bidirectional_access:
-            reverse = planner._y_rightward(
-                -state.y, -state.vy, -profile.y_first_high
-            )
-            if x_component > reverse:
-                reverse = x_component
-            if reverse < best:
-                best = reverse
-        return best
+        # min over directions of max(x, y) is max(x, min over directions).
+        return x_component if x_component > y_floor else y_floor
 
     # -- other controls ----------------------------------------------------- #
 

@@ -106,6 +106,27 @@ class Simulation:
         ``Request`` objects in that order for the drain loop.  The drain's
         completions become the result's columns in one pass at the end.
         """
+        # A run allocates tuples by the ten thousand — the rows a request
+        # list is columnarized from, the device's request profiles, the
+        # materialized requests, an AccessResult per completion — and none
+        # of them form reference cycles, so everything is reclaimed by
+        # reference counting alone.  Generational GC scans, whose cost grows with the
+        # live heap, are pure overhead here — measured at 2-4x the total
+        # runtime on fleet-scale streams — so collection is paused for the
+        # whole run, ingest included, and the caller's setting is restored
+        # after, whether the run returns or raises.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            return self._run(requests)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _run(
+        self, requests: Union[Iterable[Request], RequestBatch]
+    ) -> SimulationResult:
         batch = (
             requests
             if isinstance(requests, RequestBatch)
@@ -140,34 +161,15 @@ class Simulation:
             tracer.emit(
                 {"kind": "sim.start", "t": 0.0, "requests": len(arrivals)}
             )
-
-        # The drain allocates a few tuples per request (the materialized
-        # request, the device's AccessResult) and none of them form
-        # reference cycles, so everything is reclaimed by reference
-        # counting alone.  Generational GC scans, whose cost grows with the
-        # live heap, are pure overhead here — measured at 2-4x the total
-        # runtime on fleet-scale streams — so collection is paused until
-        # the result's columns are built and the drain's lists dropped (the
-        # first collection would otherwise scan every request and access
-        # they hold), and the caller's setting is restored after.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            done, dispatch, accesses = self._drain(arrivals)
-            del arrivals
-            if tracer.enabled:
-                tracer.emit(
-                    {"kind": "sim.end", "t": self.now, "completed": len(done)}
-                )
-            result = SimulationResult(
-                _completion_columns(done, dispatch, accesses), end_time=self.now
+        done, dispatch, accesses = self._drain(arrivals)
+        del arrivals
+        if tracer.enabled:
+            tracer.emit(
+                {"kind": "sim.end", "t": self.now, "completed": len(done)}
             )
-            del done, dispatch, accesses
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return result
+        return SimulationResult(
+            _completion_columns(done, dispatch, accesses), end_time=self.now
+        )
 
     # ------------------------------------------------------------------ #
 

@@ -1,12 +1,13 @@
 """SPTF's depth-switched selection must dispatch what a plain scan does.
 
 Up to ``SCAN_DEPTH`` pending requests SPTF scans; deeper, it prices
-candidates best-first by lower bound (:mod:`repro.core.scheduling.sptf`).
+candidates in lower-bound order, walking a cylinder index
+(:mod:`repro.core.scheduling.sptf`).
 These tests pin the switch itself: the pick and the reported
 ``fast_path`` at the depths around ``SCAN_DEPTH`` and around the 64-deep
 queues the pricing tests use, whole drains that cross the switch both
 ways, traced against untraced runs, and the lazy build of the bound
-columns.  Picks are compared with
+table and the index.  Picks are compared with
 :class:`~tests.core.scheduling.sptf_reference.ReferenceSPTF`.
 """
 
@@ -141,38 +142,45 @@ class TestAdaptiveModeEquivalence:
             assert validate_events([meta] + tracer.events) == []
 
     def test_lazy_index_build_on_first_deep_selection(self):
-        device = MEMSDevice()
-        scheduler = SPTFScheduler(device)
-        assert device._lower_bounds is None  # nothing built at construction
-        requests = _random_stream(device.capacity_sectors, 400, seed=3)
-        scheduler.add(requests[0])
-        scheduler.pop_next(0.0)
-        # A single pending request is dispatched without pricing anything.
-        assert scheduler.last_priced == 0
-        assert scheduler.last_pruned == 1
-        for request in requests[1 : SCAN_DEPTH + 1]:
-            scheduler.add(request)
-        scheduler.pop_next(0.0)
-        # Shallow scans never touch the bound table or build the columns.
-        assert scheduler.last_fast_path == "scan"
-        assert scheduler._cyls is None
-        assert device._lower_bounds is None
-        for request in requests[SCAN_DEPTH + 1 : 80]:
-            scheduler.add(request)
-        scheduler.pop_next(0.0)
-        # The first deep selection builds both, and from then on the
-        # columns follow every add and pop, growing past their capacity.
-        assert scheduler.last_fast_path == "pruned"
-        assert device._lower_bounds is not None
-        for request in requests[80:]:
-            scheduler.add(request)
-        for _ in range(50):
+        for scheduler_class in (SPTFScheduler, AgedSPTFScheduler):
+            device = MEMSDevice()
+            scheduler = scheduler_class(device)
+            assert device._lower_bounds is None  # nothing built yet
+            requests = _random_stream(device.capacity_sectors, 400, seed=3)
+            # Arrivals out of order, so the arrival index has to sort.
+            random.Random(4).shuffle(requests)
+            scheduler.add(requests[0])
             scheduler.pop_next(0.0)
-        pending = scheduler.pending()
-        size = len(pending)
-        assert scheduler._cyls[:size].tolist() == [
-            device.request_cylinder(request) for request in pending
-        ]
-        assert scheduler._arrivals[:size].tolist() == [
-            request.arrival_time for request in pending
-        ]
+            # A single pending request is dispatched without pricing.
+            assert scheduler.last_priced == 0
+            assert scheduler.last_pruned == 1
+            for request in requests[1 : SCAN_DEPTH + 1]:
+                scheduler.add(request)
+            scheduler.pop_next(0.0)
+            # Shallow scans never touch the bound table or the index.
+            assert scheduler.last_fast_path == "scan"
+            assert scheduler._index is None
+            assert device._lower_bounds is None
+            for request in requests[SCAN_DEPTH + 1 : 80]:
+                scheduler.add(request)
+            scheduler.pop_next(0.0)
+            # The first deep selection builds both, and from then on the
+            # index follows every add and pop.
+            assert scheduler.last_fast_path == "pruned"
+            assert device._lower_bounds is not None
+            for request in requests[80:]:
+                scheduler.add(request)
+            for _ in range(50):
+                scheduler.pop_next(0.0)
+            pending = scheduler.pending()
+            assert len(pending) == 400 - 53
+            entries = [
+                (device.request_cylinder(request), seq, request)
+                for seq, request in zip(scheduler._queue, pending)
+            ]
+            assert scheduler._index == sorted(entries)
+            if scheduler_class is AgedSPTFScheduler:
+                assert scheduler._by_arrival == sorted(
+                    (request.arrival_time, seq, cylinder, request)
+                    for cylinder, seq, request in entries
+                )

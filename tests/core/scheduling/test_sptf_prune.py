@@ -11,12 +11,19 @@ rests on:
   hypothesis-generated queues from 0 to 1024 deep (random, duplicated,
   single-cylinder and clustered streams), on layout-driven streams, and
   over whole traced and untraced simulations;
+* **bound order** — every hypothesis-generated selection also prices
+  exactly the candidates
+  :func:`~tests.core.scheduling.sptf_reference.bound_order_selection`
+  prices, on both devices and on :class:`StepDevice`, whose staircase
+  bound table makes equal bounds span many cylinders and makes exact
+  scores equal bounds;
 * **admissibility** — the dense ``positioning_lower_bounds`` table never
   exceeds ``estimate_positioning`` for any sampled (device state,
   request, now) triple, and it is monotone in cylinder distance;
 * **pricing** — deep queues price fewer candidates than are pending.
 """
 
+import math
 import random
 
 import pytest
@@ -36,8 +43,48 @@ from repro.disk.atlas10k import atlas_10k
 from repro.disk.device import DiskDevice
 from repro.mems.device import MEMSDevice
 from repro.mems.parameters import MEMSParameters
-from repro.sim.request import IOKind, Request
-from tests.core.scheduling.sptf_reference import ReferenceSPTF, drain_order
+from repro.sim.device import StorageDevice
+from repro.sim.request import AccessResult, IOKind, Request
+from tests.core.scheduling.sptf_reference import (
+    ReferenceSPTF,
+    bound_order_selection,
+    drain_order,
+)
+
+
+class StepDevice(StorageDevice):
+    """A prunable device double with a staircase bound table.
+
+    A cylinder is 200 sectors.  The bound at distance ``d`` is ``d // 8``,
+    so equal bounds span many cylinders on both sides, and the exact
+    estimate adds ``lbn % 3`` whole steps, so scores often equal bounds
+    and each other.  Above ``limit`` the estimate answers with the least
+    float above it, which the oracle contract allows.
+    """
+
+    capacity_sectors = 2_000_000
+    positioning_lower_bounds = tuple(float(d // 8) for d in range(10_000))
+
+    def __init__(self):
+        self.current_cylinder = 0
+        self._last_lbn = 0
+
+    @property
+    def last_lbn(self):
+        return self._last_lbn
+
+    def request_cylinder(self, request):
+        return request.lbn // 200
+
+    def estimate_positioning(self, request, now=0.0, limit=math.inf):
+        distance = abs(self.request_cylinder(request) - self.current_cylinder)
+        exact = self.positioning_lower_bounds[distance] + request.lbn % 3
+        return exact if exact <= limit else math.nextafter(limit, math.inf)
+
+    def service(self, request, now=0.0):
+        self.current_cylinder = self.request_cylinder(request)
+        self._last_lbn = request.last_lbn
+        return AccessResult(total=1e-3)
 
 
 def _make_device(kind):
@@ -48,6 +95,8 @@ def _make_device(kind):
         # the regime where float rounding is most likely to break
         # admissibility (guarded by the bound table's margin).
         return MEMSDevice(MEMSParameters(spring_factor=0.0))
+    if kind == "steps":
+        return StepDevice()
     return DiskDevice(atlas_10k())
 
 
@@ -214,12 +263,12 @@ def _stream(device, shape, depth, now, rng):
 
 class TestSelectionProperty:
     @settings(
-        max_examples=60,
+        max_examples=80,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        device_kind=st.sampled_from(["mems", "disk"]),
+        device_kind=st.sampled_from(["mems", "disk", "steps"]),
         age_weight=st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
         depth=st.one_of(
             st.integers(0, 2 * SCAN_DEPTH + 2), st.integers(0, 1024)
@@ -247,11 +296,20 @@ class TestSelectionProperty:
             scheduler.add(request)
             reference.add(request)
         # A full drain up to 128 deep; deeper queues check their first 128
-        # selections (the reference scan is quadratic over a drain).
+        # selections (the reference scan is quadratic over a drain).  Each
+        # selection picks what the scan picks, and prices exactly what the
+        # bound-order model prices.
         for _ in range(min(depth, 128)):
+            pending = scheduler.pending()
+            index, priced, fast_path = bound_order_selection(
+                device, pending, now, age_weight
+            )
             expected = reference.pop_next(now)
             picked = scheduler.pop_next(now)
             assert picked.request_id == expected.request_id
+            assert picked is pending[index]
+            assert scheduler.last_priced == priced
+            assert scheduler.last_fast_path == fast_path
             assert (
                 scheduler.last_priced + scheduler.last_pruned
                 == scheduler.last_candidates

@@ -2,10 +2,13 @@
 
 import dataclasses
 import gc
+import math
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.disk import DiskAddress, DiskDevice, DiskGeometry, atlas_10k
 from repro.disk import device as disk_device
@@ -131,6 +134,40 @@ class TestEstimate:
         e0 = atlas_device.estimate_positioning(request, now=0.0)
         e1 = atlas_device.estimate_positioning(request, now=rev / 3)
         assert e0 != pytest.approx(e1, abs=1e-6)
+
+
+class TestEstimateLimit:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), warmup=st.integers(0, 4))
+    def test_limit_is_accepted_and_the_answer_stays_exact(self, seed, warmup):
+        # The oracle contract allows any value in (limit, exact] above the
+        # limit; the disk always answers exactly.
+        rng = random.Random(seed)
+        device = DiskDevice(atlas_10k())
+        clock = rng.uniform(0.0, 1.0)
+
+        def random_request():
+            sectors = rng.choice((1, 8, 64))
+            lbn = rng.randrange(0, device.capacity_sectors - sectors)
+            kind = rng.choice((IOKind.READ, IOKind.WRITE))
+            return Request(0.0, lbn=lbn, sectors=sectors, kind=kind)
+
+        for _ in range(warmup):
+            clock += device.service(random_request(), now=clock).total
+        for _ in range(20):
+            request = random_request()
+            now = clock + rng.uniform(0.0, 0.02)
+            exact = device.estimate_positioning(request, now)
+            assert device.estimate_positioning(request, now, math.inf) == exact
+            for limit in (
+                0.0,
+                exact / 2,
+                math.nextafter(exact, -math.inf),
+                exact,
+                math.nextafter(exact, math.inf),
+                2 * exact,
+            ):
+                assert device.estimate_positioning(request, now, limit) == exact
 
 
 class TestState:

@@ -1,7 +1,12 @@
 """Unit tests for the full MEMS device model, anchored to the paper's
 derived numbers."""
 
+import math
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.mems import MEMSDevice, MEMSParameters
 from repro.mems import device as mems_device_module
@@ -135,6 +140,79 @@ class TestEstimateOracle:
         near = mems_device.estimate_positioning(read(1_000_500))
         far = mems_device.estimate_positioning(read(6_000_000))
         assert near < far
+
+
+def _limits(exact, rng):
+    """Limits below, at and above ``exact``."""
+    return (
+        0.0,
+        exact / 2,
+        math.nextafter(exact, -math.inf),
+        exact,
+        math.nextafter(exact, math.inf),
+        2 * exact,
+        rng.uniform(0.0, 2 * exact),
+    )
+
+
+class TestEstimateLimit:
+    """``estimate_positioning(request, now, limit)`` is exact at or below
+    ``limit`` and anything in ``(limit, exact]`` above it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        state=st.sampled_from(["+y", "-y", "rest"]),
+        bidirectional=st.booleans(),
+        memoize=st.booleans(),
+    )
+    def test_limit_contract(self, seed, state, bidirectional, memoize):
+        # A unidirectional sled always leaves an access moving +y.
+        assume(bidirectional or state != "-y")
+        rng = random.Random(seed)
+        device = MEMSDevice(
+            MEMSParameters(bidirectional_access=bidirectional), memoize=memoize
+        )
+
+        def random_request():
+            sectors = rng.choice((1, 8, 64, 334))
+            lbn = rng.randrange(0, device.capacity_sectors - sectors)
+            return read(lbn, sectors)
+
+        for _ in range(rng.randint(1, 4)):
+            device.service(random_request())
+        if state == "rest":
+            device.stop_sled()
+            assert device.sled_state.vy == 0.0
+        else:
+            sign = 1.0 if state == "+y" else -1.0
+            for _ in range(200):
+                if device.sled_state.vy * sign > 0:
+                    break
+                device.service(random_request())
+            assert device.sled_state.vy * sign > 0
+        before = device.sled_state
+        for _ in range(20):
+            request = random_request()
+            exact = device.estimate_positioning(request)
+            assert device.estimate_positioning(request, 0.0, math.inf) == exact
+            for limit in _limits(exact, rng):
+                value = device.estimate_positioning(request, 0.0, limit)
+                if exact <= limit:
+                    assert value == exact
+                else:
+                    assert limit < value <= exact
+        assert device.sled_state == before
+
+    def test_limit_below_the_y_floor_skips_the_x_seek(self, mems_device):
+        # Far in X and near in Y: the Y floor is below the X seek, so a
+        # limit under the floor comes back as the floor, not the exact
+        # max(X seek + settle, Y seek).
+        mems_device.service(read(0))
+        far = read(mems_device.capacity_sectors - 2700)
+        exact = mems_device.estimate_positioning(far)
+        floor = mems_device.estimate_positioning(far, 0.0, 0.0)
+        assert 0.0 < floor < exact
 
 
 class TestStateTracking:

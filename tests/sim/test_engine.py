@@ -372,6 +372,22 @@ class TestCollectorPause:
                 max_queue_depth=4,
             )
         assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            # An LBN past the device's capacity fails ingest validation.
+            simulate(ConstantDevice(capacity=10), FCFSScheduler(), [req(0.0, 10)])
+        assert gc.isenabled() is enabled
+
+    def test_collection_stays_paused_while_profiles_are_primed(self, collector):
+        seen = []
+
+        class PrimingDevice(ConstantDevice):
+            def prime_request_profiles(self, lbns, sectors):
+                seen.append(gc.isenabled())
+
+        gc.enable()
+        simulate(PrimingDevice(), FCFSScheduler(), [req(0.0), req(0.5, 1, 1)])
+        assert seen == [False]
+        assert gc.isenabled()
 
     def test_collection_stays_paused_while_the_result_is_built(
         self, collector, monkeypatch

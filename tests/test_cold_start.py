@@ -11,7 +11,9 @@ array or experiment module, nor the live fold (``repro.obs.live`` and its
 sketches, loaded by ``--live-window``/``--slo`` runs) or
 ``repro.sim.replication``.  Pool workers are forked, so they inherit the
 parent's modules; ``parallel_map`` imports numpy in the parent before
-forking, so no worker has to import it again.
+forking, so no worker has to import it again.  The CLI also caps
+OpenBLAS at one thread unless the caller set ``OPENBLAS_NUM_THREADS``,
+so importing numpy after it starts no BLAS thread.
 """
 
 import os
@@ -33,12 +35,19 @@ _LOADED = (
 """Source of ``loaded(*names)``: the loaded modules at or under ``names``."""
 
 
-def _run(code: str) -> str:
-    """Run ``code`` in a fresh interpreter with ``src`` importable."""
+def _run(code: str, **environ) -> str:
+    """Run ``code`` in a fresh interpreter with ``src`` importable; keyword
+    arguments set environment variables (``None`` removes one)."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    for name, value in environ.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
@@ -57,6 +66,32 @@ def test_cli_import_loads_neither_scipy_nor_numpy():
         " threading.active_count(), multiprocessing.active_children())\n"
     )
     assert out == "[] 1 []"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads in /proc"
+)
+def test_numpy_after_the_cli_starts_no_blas_thread():
+    # The CLI caps OpenBLAS at one thread before numpy can be imported.
+    out = _run(
+        "import os\n"
+        "import repro.__main__\n"
+        "import numpy\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'],"
+        " len(os.listdir('/proc/self/task')))\n",
+        OPENBLAS_NUM_THREADS=None,
+    )
+    assert out == "1 1"
+
+
+def test_cli_import_keeps_a_preset_blas_thread_count():
+    out = _run(
+        "import os\n"
+        "import repro.__main__\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n",
+        OPENBLAS_NUM_THREADS="2",
+    )
+    assert out == "2"
 
 
 def test_cli_import_loads_no_subcommand_module():
