@@ -24,13 +24,9 @@ leaving 35 bits of guard space at each end.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from repro.mems.parameters import MEMSParameters
-
-DEFAULT_GEOMETRY_CACHE = 1 << 16
-"""Default per-instance LRU size for the address-arithmetic caches."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,17 +48,9 @@ class MEMSGeometry:
 
     Args:
         params: Device design point.
-        cache_size: Per-instance LRU size for the pure address-arithmetic
-            methods (``decompose``, ``x_of_cylinder``, ``row_span_y``,
-            ``segments_tuple``).  The SPTF oracle re-derives the same small
-            set of coordinates at every dispatch, so memoization removes
-            most of its per-call cost; pass 0 to disable (the benchmark
-            harness uses this for its uncached baseline).
     """
 
-    def __init__(
-        self, params: MEMSParameters, cache_size: int = DEFAULT_GEOMETRY_CACHE
-    ) -> None:
+    def __init__(self, params: MEMSParameters) -> None:
         self.params = params
         self._sectors_per_row = params.sectors_per_row
         self._rows_per_track = params.tip_sectors_per_track
@@ -73,12 +61,6 @@ class MEMSGeometry:
         # split evenly between the two ends so the used area is centered.
         used_bits = self._rows_per_track * params.tip_sector_bits
         self._guard_bits = (params.bits_per_tip_region_y - used_bits) / 2.0
-        if cache_size:
-            cached = functools.lru_cache(maxsize=cache_size)
-            self.decompose = cached(self.decompose)
-            self.x_of_cylinder = cached(self.x_of_cylinder)
-            self.row_span_y = cached(self.row_span_y)
-            self.segments_tuple = cached(self.segments_tuple)
 
     # -- counts --------------------------------------------------------- #
 
@@ -203,15 +185,13 @@ class MEMSGeometry:
         return list(self.segments_tuple(lbn, sectors))
 
     def segments_tuple(self, lbn: int, sectors: int) -> tuple:
-        """:meth:`segments` as an immutable tuple (memoized; the device
-        model's hot path uses this to avoid rebuilding the per-track split
-        on every service and SPTF estimate).
+        """:meth:`segments` as an immutable tuple (the device model's
+        multi-segment and unidirectional plans walk this).
 
         Works in plain integer arithmetic rather than through
-        :meth:`decompose`: the per-segment :class:`SectorAddress`
-        construction (and its validation) dominated the cost of deriving a
-        request profile, and every derived coordinate here is exact integer
-        division — there is no floating point to keep bit-identical.
+        :meth:`decompose`, skipping the per-segment :class:`SectorAddress`
+        construction and its validation; every derived coordinate here is
+        exact integer division.
         """
         if sectors < 1:
             raise ValueError(f"non-positive request size: {sectors}")

@@ -117,7 +117,12 @@ class PositioningPlan:
 
 
 class SeekPlanner:
-    """Computes positioning plans from sled states and physical targets."""
+    """Computes positioning plans from sled states and physical targets.
+
+    Args:
+        params: Device design point.
+        cache_size: Entry cap of the Y-seek LRU cache; 0 disables it.
+    """
 
     def __init__(self, params: MEMSParameters, cache_size: int = 1 << 18) -> None:
         self.params = params
@@ -128,29 +133,20 @@ class SeekPlanner:
         )
         self._settle_threshold = params.bit_width / 2.0
         self._settle_cost = params.settle_time
-        # Positions the device model passes in are drawn from small discrete
-        # sets (cylinder offsets, row edges, ±access velocity), so memoizing
-        # the closed-form maneuvers pays off heavily under SPTF, which
-        # evaluates every queued request at every dispatch.  Every maneuver
-        # mirrors leftward motion onto rightward motion through x → −x with
-        # *identical* floating-point operations (see kinematics module
-        # docstring), so cache keys are canonicalized to the rightward form
-        # before lookup — halving the key space without changing any result.
+        # Y seeks run between row edges, starting at rest or at ±access
+        # velocity: a small discrete set of endpoints, so memoizing them
+        # pays off under SPTF, which prices every queued request at every
+        # dispatch.  Every maneuver mirrors leftward motion onto rightward
+        # motion through y → −y with *identical* floating-point operations
+        # (see kinematics module docstring), so cache keys are canonicalized
+        # to the rightward form before lookup — halving the key space
+        # without changing any result.  X seeks run between cylinder
+        # centres; the device memoizes those per cylinder pair.
+        self._y_rightward = self._y_seek_rightward
         if cache_size:
-            cached = functools.lru_cache(maxsize=cache_size)
-            x_inner = cached(self.kinematics.seek_time)
-            pair_inner = cached(self._x_seek_and_settle_canonical)
-            y_inner = cached(self._y_seek_rightward)
-
-            def x_seek_time(x0: float, x1: float) -> float:
-                if x1 < x0:
-                    x0, x1 = -x0, -x1
-                return x_inner(x0, x1)
-
-            def x_seek_and_settle(x0: float, x1: float):
-                if x1 < x0:
-                    x0, x1 = -x0, -x1
-                return pair_inner(x0, x1)
+            y_inner = functools.lru_cache(maxsize=cache_size)(
+                self._y_seek_rightward
+            )
 
             def y_seek_time(
                 y0: float, vy0: float, y_target: float, direction: int
@@ -159,21 +155,13 @@ class SeekPlanner:
                     y0, vy0, y_target = -y0, -vy0, -y_target
                 return y_inner(y0, vy0, y_target)
 
-            x_seek_time.cache_info = x_inner.cache_info
             y_seek_time.cache_info = y_inner.cache_info
-            self.x_seek_time = x_seek_time
-            self.x_seek_and_settle = x_seek_and_settle
             self.y_seek_time = y_seek_time
-            self.turnaround_time = cached(self.turnaround_time)
-            # Pre-canonicalized entry points for the device hot paths:
+            # Pre-canonicalized entry point for the device hot paths:
             # callers that mirror arguments themselves skip the wrapper
             # frame and hit the lru_cache C wrapper directly.  Negation is
-            # exact, so results match the public wrappers bit for bit.
-            self._x_pair_canonical = pair_inner
+            # exact, so results match the public wrapper bit for bit.
             self._y_rightward = y_inner
-        else:
-            self._x_pair_canonical = self._x_seek_and_settle_canonical
-            self._y_rightward = self._y_seek_rightward
 
     # -- component maneuvers --------------------------------------------- #
 
@@ -188,19 +176,8 @@ class SeekPlanner:
         return self._settle_cost
 
     def x_seek_and_settle(self, x0: float, x1: float):
-        """(X seek time, settle time) as one (cacheable) lookup.
-
-        The hot paths always need both; fusing them halves the cache
-        traffic versus separate :meth:`x_seek_time` / :meth:`settle_time`
-        calls.
-        """
-        return self._x_seek_and_settle_canonical(x0, x1)
-
-    def _x_seek_and_settle_canonical(self, x0: float, x1: float):
-        return (
-            self.kinematics.seek_time(x0, x1),
-            0.0 if abs(x1 - x0) < self._settle_threshold else self._settle_cost,
-        )
+        """(X seek time, settle time) of one X move."""
+        return self.x_seek_time(x0, x1), self.settle_time(x0, x1)
 
     def y_seek_time(
         self, y0: float, vy0: float, y_target: float, direction: int

@@ -62,6 +62,11 @@ DEFAULT_WINDOW_S = 1.0
 SLO_CLASSES = ("all", "read", "write")
 """Request classes an :class:`SLOSpec` can track."""
 
+MAX_WINDOWS = 1_000_000
+"""Most ``obs.window`` events :meth:`LiveAggregator.events` builds for one
+run: each costs a dict, so a narrower window is rejected before any is
+built."""
+
 
 def check_width(name: str, value: float) -> float:
     """``value`` when it is a finite window width > 0; else ``ValueError``."""
@@ -426,8 +431,7 @@ class LiveAggregator:
         np = get_numpy()
         c = result.columns
         width = self.window_s
-        closed = _closed_windows(width, end)
-        count = closed + self._partial_traffic(c, closed, end)
+        closed, count = self._window_grid(c, end)
         arrivals = Counter(
             _window_of(c["arrival"], width).astype(np.int64).tolist()
         )
@@ -482,6 +486,28 @@ class LiveAggregator:
                 event["response_mean"] = response_sum[window] / done_here
             keyed.append(((stop, window >= closed, 0, window), event))
         return keyed
+
+    def _window_grid(self, c, end: float) -> Tuple[int, int]:
+        """``(closed windows, obs.window events)``: the events add the
+        partial window if it saw traffic.  ``ValueError`` beyond
+        :data:`MAX_WINDOWS` events, naming the narrowest width accepted."""
+        width = self.window_s
+        # A grid far past the limit is rejected without counting it
+        # exactly (which fails beyond 2**53 windows).
+        closed = count = MAX_WINDOWS + 1
+        if end / width <= MAX_WINDOWS + 2:
+            closed = _closed_windows(width, end)
+            count = closed + self._partial_traffic(c, closed, end)
+        if count > MAX_WINDOWS:
+            # Slightly above end / (MAX_WINDOWS - 1), where at most
+            # MAX_WINDOWS - 1 windows close, whatever the rounding of .4g.
+            narrowest = end / (MAX_WINDOWS - 1) * 1.001
+            raise ValueError(
+                f"window {width:g}s is too narrow for a run of {end:g}s: "
+                f"more than {MAX_WINDOWS:,} windows; the narrowest window "
+                f"accepted for this run is about {narrowest:.4g}s"
+            )
+        return closed, count
 
     def _violations(self, grid, spec, end, times, values, bins) -> list:
         """``(sort key, slo.violation event)`` per violating window."""

@@ -63,18 +63,6 @@ class StorageDevice(abc.ABC):
         of device state, mirroring what a host OS actually knows.
         """
 
-    def prime_request_profiles(self, lbns, sectors) -> None:
-        """Bulk-precompute per-request state the device would otherwise
-        derive lazily during ``service``.
-
-        Called by the engine's columnar ingest path with a
-        :class:`~repro.sim.batch.RequestBatch`'s ``lbn``/``sectors`` numpy
-        columns before the event loop starts.  A pure optimization hook:
-        the default does nothing, and overrides must not change any
-        simulated outcome (see
-        :meth:`repro.mems.device.MEMSDevice.prime_request_profiles`).
-        """
-
     def validate(self, request: Request) -> None:
         """Raise ``ValueError`` if the request cannot be serviced.
 

@@ -107,14 +107,14 @@ class Simulation:
         completions become the result's columns in one pass at the end.
         """
         # A run allocates tuples by the ten thousand — the rows a request
-        # list is columnarized from, the device's request profiles, the
-        # materialized requests, an AccessResult per completion — and none
-        # of them form reference cycles, so everything is reclaimed by
-        # reference counting alone.  Generational GC scans, whose cost grows with the
-        # live heap, are pure overhead here — measured at 2-4x the total
-        # runtime on fleet-scale streams — so collection is paused for the
-        # whole run, ingest included, and the caller's setting is restored
-        # after, whether the run returns or raises.
+        # list is columnarized from, the materialized requests, an
+        # AccessResult per completion — and none of them form reference
+        # cycles, so everything is reclaimed by reference counting alone.
+        # Generational GC scans, whose cost grows with the live heap, are
+        # pure overhead here — measured at 2-4x the total runtime on
+        # fleet-scale streams — so collection is paused for the whole run,
+        # ingest included, and the caller's setting is restored after,
+        # whether the run returns or raises.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -135,10 +135,6 @@ class Simulation:
         batch.validate(self.device.capacity_sectors)
         if not batch.is_sorted():
             batch = batch.sorted_by_arrival()
-        # Let the device bulk-derive per-request geometry from the columns
-        # while they are still arrays (a no-op by default; a pure speed
-        # hook — see StorageDevice.prime_request_profiles).
-        self.device.prime_request_profiles(batch.lbn, batch.sectors)
         # ``validate`` enforced the ``Request`` invariants in bulk, so rows
         # are materialized through ``Request._make``: the C-speed
         # constructor that skips the validating ``__new__``.

@@ -3,15 +3,14 @@ derived numbers."""
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.mems import MEMSDevice, MEMSParameters
-from repro.mems import device as mems_device_module
 from repro.sim import IOKind, Request
-from repro.workloads import RandomWorkload
 
 
 def read(lbn, sectors=8, rid=0):
@@ -265,26 +264,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             mems_device.service(read(mems_device.capacity_sectors - 4, sectors=8))
 
-
-class TestProfilePriming:
-    """``prime_request_profiles`` fills the shared memo from the columns."""
-
-    def test_priming_twice_keeps_every_entry(self):
-        device = MEMSDevice()
-        cache = device._profile_cache
-        cache.clear()
-        batch = RandomWorkload(device.capacity_sectors, rate=800.0, seed=5)
-        columns = batch.generate_batch(2000)
-        device.prime_request_profiles(columns.lbn, columns.sectors)
-        primed = dict(cache)
-        assert primed
-        device.prime_request_profiles(columns.lbn, columns.sectors)
-        assert cache.keys() == primed.keys()
-        assert all(cache[key] is profile for key, profile in primed.items())
-        for (lbn, sectors), profile in primed.items():
-            assert profile == mems_device_module._build_profile(
-                device.geometry, device._tip_sector_time, lbn, sectors
-            )
+    @pytest.mark.parametrize("memoize", [True, False])
+    @pytest.mark.parametrize(
+        "lbn, sectors",
+        [(6_750_000, 1), (6_749_999, 2), (6_749_000, 5_000), (-1, 8), (0, 0)],
+    )
+    def test_out_of_range_raises_the_validate_message_every_time(
+        self, memoize, lbn, sectors
+    ):
+        device = MEMSDevice(memoize=memoize)
+        # Request._make skips the constructor's own checks, as ingest does.
+        request = Request._make((0.0, lbn, sectors, IOKind.READ, 0))
+        with pytest.raises(ValueError) as expected:
+            device.validate(request)
+        message = re.escape(str(expected.value))
+        before = device.sled_state
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                device.estimate_positioning(request)
+            with pytest.raises(ValueError, match=message):
+                device.service(request)
+        assert device.sled_state == before
+        assert (device.current_cylinder, device.last_lbn) == (0, 0)
 
 
 class TestScaledDevice:

@@ -92,7 +92,7 @@ class TestCaching:
 
     def test_repeat_calls_hit_cache(self):
         planner = SeekPlanner(DEFAULT_PARAMETERS)
-        planner.x_seek_time(0.0, 30e-6)
-        planner.x_seek_time(0.0, 30e-6)
-        info = planner.x_seek_time.cache_info()
-        assert info.hits >= 1
+        planner.y_seek_time(0.0, V, 20e-6, +1)
+        planner.y_seek_time(0.0, -V, -20e-6, -1)  # the mirrored maneuver
+        info = planner.y_seek_time.cache_info()
+        assert (info.hits, info.misses) == (1, 1)

@@ -9,6 +9,7 @@ redistributes, never loses.
 
 import json
 import math
+import time
 
 import pytest
 
@@ -260,6 +261,17 @@ class TestAnalyzeCLI:
             f"python -m repro.obs.analyze: error: --bucket must be finite "
             f"and > 0: {float(width) / 1e3}"
         ]
+
+    def test_too_fine_a_bucket_is_one_error_line(self, trace_path, capsys):
+        # 0.1 us over a 0.5 s run: about five million windows, refused
+        # before any is built.
+        start = time.perf_counter()
+        assert main([trace_path, "--bucket", "0.0001"]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: window 1e-07s is too narrow for a run")
 
     def test_analyze_trace_matches_in_memory(self, trace_path):
         from_file = analyze_trace(trace_path, bucket_s=DEFAULT_BUCKET_S)

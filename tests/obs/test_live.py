@@ -10,6 +10,7 @@ import pickle
 
 import pytest
 
+from repro.obs import live
 from repro.obs.live import (
     DEFAULT_WINDOW_S,
     LiveAggregator,
@@ -220,6 +221,47 @@ class TestLiveAggregatorWindows:
         result = result_of(completed_at([1.0], [0.01]), end=1.0)
         with pytest.raises(ValueError, match="too narrow"):
             LiveAggregator(window_s=1e-300).summary(result)
+
+
+class TestWindowLimit:
+    """``events`` builds at most ``MAX_WINDOWS`` windows; ``summary``
+    takes any width."""
+
+    @pytest.fixture
+    def result(self):
+        # The last completion ends the run, so a width of end / N makes a
+        # grid of exactly N windows, the partial one included.
+        times = [0.1 * k + 0.05 for k in range(20)] + [2.5]
+        return result_of(completed_at(times, [0.01] * len(times)), end=2.5)
+
+    def test_a_grid_of_exactly_the_limit_is_accepted(self, result, monkeypatch):
+        monkeypatch.setattr(live, "MAX_WINDOWS", 40)
+        events = by_kind(LiveAggregator(window_s=2.5 / 40).events(result),
+                         "obs.window")
+        assert len(events) == 40
+
+    def test_one_window_more_names_the_narrowest_width(
+        self, result, monkeypatch
+    ):
+        monkeypatch.setattr(live, "MAX_WINDOWS", 40)
+        with pytest.raises(ValueError) as error:
+            LiveAggregator(window_s=2.5 / 41).events(result)
+        message = str(error.value)
+        assert message.startswith(
+            f"window {2.5 / 41:g}s is too narrow for a run of 2.5s: more "
+            f"than 40 windows"
+        )
+        narrowest = float(message.rsplit("about ", 1)[1].rstrip("s"))
+        assert 2.5 / 41 < narrowest < 2.5 / 38
+        events = LiveAggregator(window_s=narrowest).events(result)
+        assert len(by_kind(events, "obs.window")) <= 40
+
+    @pytest.mark.parametrize("width", [1e-7, 1e-15])
+    def test_a_fine_grid_fails_before_building_it(self, result, width):
+        # 25 million windows, and 2.5e15: past the 2**53 check too.
+        with pytest.raises(ValueError, match="more than 1,000,000 windows"):
+            LiveAggregator(window_s=width).events(result)
+        assert LiveAggregator(window_s=width).summary(result).completions == 21
 
 
 class TestSLOTracking:

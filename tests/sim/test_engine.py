@@ -377,15 +377,20 @@ class TestCollectorPause:
             simulate(ConstantDevice(capacity=10), FCFSScheduler(), [req(0.0, 10)])
         assert gc.isenabled() is enabled
 
-    def test_collection_stays_paused_while_profiles_are_primed(self, collector):
+    def test_collection_stays_paused_while_the_batch_is_validated(
+        self, collector
+    ):
         seen = []
 
-        class PrimingDevice(ConstantDevice):
-            def prime_request_profiles(self, lbns, sectors):
+        class ProbedDevice(ConstantDevice):
+            @property
+            def capacity_sectors(self):
+                # Ingest reads the capacity to bounds-check the batch.
                 seen.append(gc.isenabled())
+                return self.capacity
 
         gc.enable()
-        simulate(PrimingDevice(), FCFSScheduler(), [req(0.0), req(0.5, 1, 1)])
+        simulate(ProbedDevice(), FCFSScheduler(), [req(0.0), req(0.5, 1, 1)])
         assert seen == [False]
         assert gc.isenabled()
 
