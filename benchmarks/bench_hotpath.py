@@ -724,11 +724,12 @@ def bench_fleet(
 WORKLOAD_GEN_MIN_SPEEDUP = 10.0
 """CI floor for columnar workload generation vs the scalar object path.
 
-``generate_batch`` synthesizes a request stream in whole-array RNG ops;
-``iter_requests`` is the executable scalar specification (one draw per
-column per request, building a ``Request`` object each time).  The two
-are pinned bit-identical by ``tests/workloads/test_batch_identity.py``;
-this row pins that the array path stays an order of magnitude faster
+``RandomWorkload.generate`` synthesizes a request stream in whole-array
+RNG ops; ``random_requests`` in ``tests/workloads/stream_reference.py`` is
+the executable scalar specification (one draw per column per request,
+building a ``Request`` object each time).  The two are pinned
+bit-identical by ``tests/workloads/test_batch_identity.py``; this row pins
+that the array path stays an order of magnitude faster
 (measured ~70x on the reference container — the floor leaves wide
 headroom while catching an accidental fallback to per-request RNG calls
 or object materialization inside the batch path).
@@ -745,6 +746,14 @@ def bench_workload_gen(count: int, repeats: int) -> dict:
     """
     from repro.workloads.synthetic import RandomWorkload
 
+    # The scalar specification lives with the tests; the repository root
+    # makes the ``tests`` package importable when this file runs as a
+    # script.
+    root = str(pathlib.Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.append(root)
+    from tests.workloads.stream_reference import random_requests
+
     capacity = 6_750_000  # the MEMS device's sector count
     workload = RandomWorkload(capacity, rate=1000.0, seed=42)
 
@@ -752,20 +761,20 @@ def bench_workload_gen(count: int, repeats: int) -> dict:
     requests = None
     for _ in range(repeats):
         start = time.perf_counter()
-        requests = list(workload.iter_requests(count))
+        requests = random_requests(workload, count)
         object_best = min(object_best, time.perf_counter() - start)
 
     batch_best = float("inf")
     batch = None
     for _ in range(repeats):
         start = time.perf_counter()
-        batch = workload.generate_batch(count)
+        batch = workload.generate(count)
         batch_best = min(batch_best, time.perf_counter() - start)
 
     if batch.to_requests() != requests:
         raise AssertionError(
-            "generate_batch diverged from the scalar reference stream — "
-            "the columnar path is no longer bit-identical"
+            "RandomWorkload.generate diverged from the scalar reference "
+            "stream — the columnar path is no longer bit-identical"
         )
     return {
         "count": count,

@@ -86,7 +86,6 @@ _EXPORTS = {
         "CelloLikeWorkload",
         "RandomWorkload",
         "TPCCLikeWorkload",
-        "Trace",
         "UniformFixedWorkload",
     ),
 }

@@ -72,7 +72,7 @@ def build_fleet_batch(
     workload = WORKLOADS[config.workload](
         _FleetAddressSpace(fleet_capacity), config
     )
-    return workload.generate_batch(config.num_requests)
+    return workload.generate(config.num_requests)
 
 
 def shard_requests(

@@ -2,21 +2,24 @@
 
 A :class:`RequestBatch` holds a request stream as five parallel columns
 (arrival, lbn, sectors, is_write, rid), one request per row.  It is the
-stream type that crosses module boundaries: workload generators produce
-batches in whole-array ops
-(:meth:`~repro.workloads.synthetic.RandomWorkload.generate_batch`), the
-fleet front-end routes them with single array passes
-(:func:`repro.fleet.frontend.shard_requests`), and the engine ingests them
-(:meth:`repro.sim.engine.Simulation.run`), materializing
-:class:`~repro.sim.request.Request` objects only at the event-loop
-boundary where the scheduler and device need them.  A plain request list
-handed to the engine is columnarized once on entry
-(:meth:`RequestBatch.from_requests`), so every stream is validated,
-sorted and materialized by the same code.
+one stream type that leaves :mod:`repro.workloads`: every generator's
+``generate(count)`` builds one
+(:meth:`~repro.workloads.synthetic.RandomWorkload.generate` in
+whole-array ops), trace replay scales its arrivals
+(:meth:`RequestBatch.scale_arrivals`, the paper's footnote 2), the fleet
+front-end routes it with single array passes
+(:func:`repro.fleet.frontend.shard_requests`), and the engine ingests it
+(:meth:`repro.sim.engine.Simulation.run`).  :meth:`RequestBatch.to_requests`
+is the one place rows become :class:`~repro.sim.request.Request` objects,
+at the event-loop boundary where the scheduler and device need them; a
+plain request list handed to the engine is columnarized once on entry
+(:meth:`RequestBatch.from_requests`), so every stream is validated, sorted
+and materialized by the same code.
 
 Column dtypes are fixed (float64/int64/bool) so results cannot drift with
 platform integer sizes; ``tests/workloads/test_batch_identity.py`` pins
-the vectorized generators to their scalar reference streams.
+every generator to its scalar reference stream in
+``tests/workloads/stream_reference.py``.
 
 numpy is imported lazily through :mod:`repro.nputil`, like every other
 vectorized hot path in this package.
@@ -25,7 +28,7 @@ vectorized hot path in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List
+from typing import Any, Iterable, List, Optional
 
 from repro.nputil import get_numpy
 from repro.sim.request import IOKind, Request
@@ -117,26 +120,59 @@ class RequestBatch:
         np = get_numpy()
         return self.take(np.lexsort((self.rid, self.arrival)))
 
+    def scale_arrivals(self, factor: float) -> "RequestBatch":
+        """Divide every arrival time by ``factor`` (paper footnote 2).
+
+        "When the scale factor is two, the traced inter-arrival times are
+        halved, doubling the average arrival rate": a stream that starts
+        at time zero gets its inter-arrival times divided by ``factor``
+        when its arrival times are.  Row order, sizes, kinds, locations
+        and ids are untouched; a factor of 1 returns equal columns.
+        """
+        if not factor > 0:
+            raise ValueError(f"non-positive scale factor: {factor}")
+        return RequestBatch(
+            arrival=self.arrival / factor,
+            lbn=self.lbn,
+            sectors=self.sectors,
+            is_write=self.is_write,
+            rid=self.rid,
+        )
+
     # -- validation ---------------------------------------------------------- #
 
     def validate(self, capacity_sectors: int) -> None:
-        """Bounds-check every row in one array pass (the engine's check).
+        """Check every row against the :class:`~repro.sim.request.Request`
+        invariants and the device capacity in one array pass (the
+        engine's check), raising the *first* offending row's message."""
+        self._refuse_first(
+            self._breaks_request_invariants()
+            | (self.lbn + self.sectors > capacity_sectors),
+            capacity_sectors,
+        )
 
-        Checks every row against the :class:`~repro.sim.request.Request`
-        invariants and the device capacity.  On failure the *first*
-        offending row (in storage order) is pushed through the validating
-        ``Request`` constructor, so callers see its message (or the
-        device-capacity message ``StorageDevice.validate`` uses).
-        """
+    def _breaks_request_invariants(self):
+        """Row mask: a negative or non-finite arrival, a negative lbn or an
+        empty transfer — what the validating ``Request`` constructor
+        refuses."""
         np = get_numpy()
-        if len(self) == 0:
-            return
-        bad = (
-            (self.arrival < 0.0)
+        arrival = self.arrival
+        return (
+            ~((arrival >= 0.0) & (arrival < np.inf))
             | (self.lbn < 0)
             | (self.sectors < 1)
-            | (self.lbn + self.sectors > capacity_sectors)
         )
+
+    def _refuse_first(
+        self, bad, capacity_sectors: Optional[int] = None
+    ) -> None:
+        """Raise for the first row flagged in ``bad``, if any.
+
+        The row is pushed through the validating ``Request`` constructor,
+        so callers see its message, or the device-capacity message
+        ``StorageDevice.validate`` uses.
+        """
+        np = get_numpy()
         if not bool(np.any(bad)):
             return
         row = int(np.argmax(bad))
@@ -147,7 +183,7 @@ class RequestBatch:
             kind=IOKind.WRITE if self.is_write[row] else IOKind.READ,
             request_id=int(self.rid[row]),
         )
-        if request.last_lbn >= capacity_sectors:
+        if capacity_sectors is not None and request.last_lbn >= capacity_sectors:
             raise ValueError(
                 f"request [{request.lbn}, {request.last_lbn}] exceeds device "
                 f"capacity of {capacity_sectors} sectors"
@@ -159,19 +195,18 @@ class RequestBatch:
     def to_requests(self) -> List[Request]:
         """Materialize the batch as :class:`Request` objects, row order.
 
-        ``tolist()`` converts each column to Python scalars in one C pass,
-        so the per-row work is just the dataclass constructor — the objects
-        are indistinguishable from ones a scalar generator built.
+        The only place rows become ``Request`` objects.  One array pass
+        enforces the ``Request`` invariants (raising the first offending
+        row's message), so rows are then built through ``Request._make``,
+        the C-speed constructor that skips the validating ``__new__``;
+        ``tolist()`` converts each column to Python scalars in one C pass.
+        The objects equal ones the validating constructor would build.
         """
+        self._refuse_first(self._breaks_request_invariants())
+        make = Request._make
         read, write = IOKind.READ, IOKind.WRITE
         return [
-            Request(
-                arrival_time=arrival,
-                lbn=lbn,
-                sectors=sectors,
-                kind=write if is_write else read,
-                request_id=rid,
-            )
+            make((arrival, lbn, sectors, write if is_write else read, rid))
             for arrival, lbn, sectors, is_write, rid in zip(
                 self.arrival.tolist(),
                 self.lbn.tolist(),
@@ -180,4 +215,3 @@ class RequestBatch:
                 self.rid.tolist(),
             )
         ]
-

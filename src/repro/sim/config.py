@@ -85,11 +85,11 @@ def make_device(
 WORKLOADS = Registry("workload")
 """String-keyed registry of workload builders.
 
-Each builder takes ``(device, config)`` and returns a generator with a
-``generate_batch(count)`` method (the :class:`~repro.sim.batch.RequestBatch`
-the engine ingests); ``config.rate`` maps onto the workload's
-intensity knob (arrival rate, burst rate, transaction rate) and
-``config.workload_params`` carries everything else.
+Each builder takes ``(device, config)`` and returns a generator whose
+``generate(count)`` method returns the
+:class:`~repro.sim.batch.RequestBatch` the engine ingests; ``config.rate``
+maps onto the workload's intensity knob (arrival rate, burst rate,
+transaction rate) and ``config.workload_params`` carries everything else.
 """
 
 
@@ -236,7 +236,7 @@ class SimConfig:
 
     def build_requests(self, device: "StorageDevice") -> "RequestBatch":
         workload = WORKLOADS[self.workload](device, self)
-        return workload.generate_batch(self.num_requests)
+        return workload.generate(self.num_requests)
 
     @property
     def live_enabled(self) -> bool:

@@ -16,7 +16,7 @@ The main entry point is :class:`Simulation`:
     >>> device = MEMSDevice()
     >>> sim = Simulation(device, SPTFScheduler(device))
     >>> requests = RandomWorkload(device.capacity_sectors, rate=500.0,
-    ...                           seed=1).generate_batch(1000)
+    ...                           seed=1).generate(1000)
     >>> result = sim.run(requests)
     >>> 0 < result.mean_response_time < 1.0
     True
@@ -103,7 +103,8 @@ class Simulation:
         :class:`~repro.sim.batch.RequestBatch` first; the batch is then
         bounds-checked in one array pass, put in ``(arrival_time,
         request_id)`` order when it is not already, and materialized as
-        ``Request`` objects in that order for the drain loop.  The drain's
+        ``Request`` objects in that order for the drain loop
+        (:meth:`~repro.sim.batch.RequestBatch.to_requests`).  The drain's
         completions become the result's columns in one pass at the end.
         """
         # A run allocates tuples by the ten thousand — the rows a request
@@ -135,21 +136,7 @@ class Simulation:
         batch.validate(self.device.capacity_sectors)
         if not batch.is_sorted():
             batch = batch.sorted_by_arrival()
-        # ``validate`` enforced the ``Request`` invariants in bulk, so rows
-        # are materialized through ``Request._make``: the C-speed
-        # constructor that skips the validating ``__new__``.
-        make = Request._make
-        read, write = IOKind.READ, IOKind.WRITE
-        arrivals = [
-            make((arrival, lbn, sectors, write if is_write else read, rid))
-            for arrival, lbn, sectors, is_write, rid in zip(
-                batch.arrival.tolist(),
-                batch.lbn.tolist(),
-                batch.sectors.tolist(),
-                batch.is_write.tolist(),
-                batch.rid.tolist(),
-            )
-        ]
+        arrivals = batch.to_requests()
 
         self.now = 0.0
         tracer = self.tracer

@@ -1,16 +1,23 @@
-"""Workload generators and trace machinery (§3, §4.3).
+"""Workload generators and trace I/O (§3, §4.3).
+
+Every generator's ``generate(count)`` returns a
+:class:`~repro.sim.batch.RequestBatch`, the one stream type this package
+hands out:
 
 * :class:`~repro.workloads.synthetic.RandomWorkload` — the paper's *random*
   workload (Poisson arrivals, 67 % reads, exponential 4 KB sizes, uniform
   locations);
 * :class:`~repro.workloads.synthetic.UniformFixedWorkload` — back-to-back
   fixed-size requests for the service-time experiments (Figs. 9–11);
-* :class:`~repro.workloads.traces.Trace` with
-  :meth:`~repro.workloads.traces.Trace.scale_arrivals` — trace replay and
-  the paper's inter-arrival scaling (footnote 2);
+* :class:`~repro.workloads.synthetic.SequentialWorkload` — a sequential
+  stream through one extent (§2.4.11's prefetch target);
 * :class:`~repro.workloads.cello.CelloLikeWorkload`,
   :class:`~repro.workloads.tpcc.TPCCLikeWorkload` — synthetic stand-ins for
-  the proprietary Cello and TPC-C traces (see DESIGN.md §2).
+  the proprietary Cello and TPC-C traces (see DESIGN.md §2), replayed at
+  the paper's trace scale through
+  :meth:`~repro.sim.batch.RequestBatch.scale_arrivals` (footnote 2);
+* :func:`~repro.workloads.traces.read_trace` /
+  :func:`~repro.workloads.traces.write_trace` — a stream as ASCII lines.
 """
 
 from repro.sim.batch import RequestBatch
@@ -22,7 +29,7 @@ from repro.workloads.synthetic import (
     spawn_column_rngs,
 )
 from repro.workloads.tpcc import TPCCLikeWorkload
-from repro.workloads.traces import Trace, merge_traces, read_trace, write_trace
+from repro.workloads.traces import read_trace, write_trace
 
 __all__ = [
     "CelloLikeWorkload",
@@ -30,9 +37,7 @@ __all__ = [
     "RequestBatch",
     "SequentialWorkload",
     "TPCCLikeWorkload",
-    "Trace",
     "UniformFixedWorkload",
-    "merge_traces",
     "read_trace",
     "spawn_column_rngs",
     "write_trace",

@@ -20,6 +20,10 @@ the published first-order characteristics:
 The paper's observation to reproduce (Fig. 7a) is that scheduler rankings on
 Cello look much like the random workload; a general file-server mix with
 these properties behaves exactly that way.
+
+:meth:`CelloLikeWorkload.generate` returns the stream as a
+:class:`~repro.sim.batch.RequestBatch`, replayed at the paper's trace scale
+(:meth:`~repro.sim.batch.RequestBatch.scale_arrivals`).
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.sim.request import IOKind, Request
-from repro.workloads.traces import Trace
+from repro.sim.batch import RequestBatch
 
 _BLOCK_SECTORS = 8  # one 4 KB filesystem block
 
@@ -47,8 +50,9 @@ class CelloLikeWorkload:
         hot_fraction: Fraction of accesses hitting the metadata/log region.
         footprint_fraction: Fraction of the device the trace touches.
         seed: RNG seed.
-        scale: Trace scale factor (paper footnote 2): the scale-1 stream
-            is generated, then :meth:`Trace.scale_arrivals` divides its
+        scale: Replay scale factor (paper footnote 2): the scale-1 stream
+            is generated, then :meth:`RequestBatch.scale_arrivals
+            <repro.sim.batch.RequestBatch.scale_arrivals>` divides its
             inter-arrival times by ``scale``.
     """
 
@@ -65,7 +69,7 @@ class CelloLikeWorkload:
     ) -> None:
         if capacity_sectors < 1024:
             raise ValueError(f"device too small: {capacity_sectors}")
-        if burst_rate <= 0 or mean_burst_length < 1:
+        if not (burst_rate > 0 and mean_burst_length >= 1):  # NaN included
             raise ValueError("burst parameters must be positive")
         if not 0 <= write_fraction <= 1 or not 0 <= hot_fraction <= 1:
             raise ValueError("fractions must lie in [0, 1]")
@@ -84,18 +88,26 @@ class CelloLikeWorkload:
         # Metadata/log region: the first 2 % of the footprint.
         self.hot_region_sectors = max(256, self.footprint // 50)
 
-    def generate(self, count: int) -> Trace:
-        """Produce a trace of ``count`` requests."""
+    def generate(self, count: int) -> RequestBatch:
+        """Produce ``count`` requests in arrival order.
+
+        Burst onsets, lengths, and intra-burst sequential runs form a
+        sequential dependency chain, so the stream is drawn one request at
+        a time into column lists.
+        """
         if count < 0:
             raise ValueError(f"negative request count: {count}")
         rng = random.Random(self.seed)
-        requests: List[Request] = []
+        arrival: List[float] = []
+        lbns: List[int] = []
+        sizes: List[int] = []
+        writes: List[bool] = []
         clock = 0.0
         sequential_lbn = None
-        while len(requests) < count:
+        while len(arrival) < count:
             clock += rng.expovariate(self.burst_rate)
             burst_len = min(
-                count - len(requests),
+                count - len(arrival),
                 1 + _geometric(rng, self.mean_burst_length),
             )
             burst_time = clock
@@ -110,7 +122,7 @@ class CelloLikeWorkload:
                 ) % (self.footprint - _BLOCK_SECTORS)
             for _ in range(burst_len):
                 burst_time += rng.expovariate(1.0 / 0.003)
-                is_write = rng.random() < self.write_fraction
+                writes.append(rng.random() < self.write_fraction)
                 if hot_burst:
                     blocks = self.hot_region_sectors // _BLOCK_SECTORS
                     lbn = rng.randrange(blocks) * _BLOCK_SECTORS
@@ -121,32 +133,18 @@ class CelloLikeWorkload:
                     sequential_lbn = (lbn + sectors) % (
                         self.footprint - 16 * _BLOCK_SECTORS
                     )
-                lbn = min(lbn, self.capacity_sectors - sectors)
-                requests.append(
-                    Request(
-                        arrival_time=burst_time,
-                        lbn=lbn,
-                        sectors=sectors,
-                        kind=IOKind.WRITE if is_write else IOKind.READ,
-                        request_id=len(requests),
-                    )
-                )
+                arrival.append(burst_time)
+                lbns.append(min(lbn, self.capacity_sectors - sectors))
+                sizes.append(sectors)
             clock = burst_time
-        requests.sort(key=lambda r: (r.arrival_time, r.request_id))
-        trace = Trace(name="cello-like", requests=requests[:count])
-        return trace if self.scale == 1.0 else trace.scale_arrivals(self.scale)
-
-    def generate_batch(self, count: int):
-        """Columnar view of :meth:`generate`.
-
-        Burst onsets, lengths, and intra-burst sequential runs form a
-        sequential dependency chain, so this generator is not vectorized;
-        the batch is columnarized from the scalar stream and therefore
-        trivially identical to it.
-        """
-        from repro.sim.batch import RequestBatch
-
-        return RequestBatch.from_requests(self.generate(count).requests)
+        batch = RequestBatch(
+            arrival=arrival,
+            lbn=lbns,
+            sectors=sizes,
+            is_write=writes,
+            rid=range(count),
+        )
+        return batch.sorted_by_arrival().scale_arrivals(self.scale)
 
 
 def _geometric(rng: random.Random, mean: float) -> int:

@@ -1,4 +1,4 @@
-"""The paper's *random* workload (§3).
+"""The paper's *random* workload (§3), and its fixed-size and sequential kin.
 
 "Request interarrival times are drawn from an exponential distribution; the
 mean is generally varied to provide a range of workloads.  All other aspects
@@ -9,22 +9,22 @@ locations are uniformly distributed across the device's capacity."
 Every generator here draws from *per-column* ``numpy.random.Generator``
 streams spawned from one ``SeedSequence(seed)``: column k (interarrivals,
 sizes, locations, directions — in that fixed order) owns child stream k.
-Because each column consumes its own bit stream, drawing one value per
-request (:meth:`RandomWorkload.iter_requests`, the scalar reference path)
-and drawing whole arrays (:meth:`RandomWorkload.generate_batch`, the
-vectorized path) produce *bit-identical* request streams — the property
-``tests/workloads/test_batch_identity.py`` pins.  :meth:`generate` serves
-materialized ``Request`` lists from the batch path, so the fast path is
-also the default path.
+Because each column consumes its own bit stream, drawing whole arrays (each
+generator's ``generate``, which returns a
+:class:`~repro.sim.batch.RequestBatch`) and drawing one value per request
+produce *bit-identical* request streams: ``tests/workloads/
+stream_reference.py`` keeps the one-draw-per-request loops as the
+executable specification, and ``tests/workloads/test_batch_identity.py``
+holds every ``generate`` to them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.nputil import get_numpy
 from repro.sim.batch import RequestBatch
-from repro.sim.request import IOKind, Request
+from repro.sim.request import IOKind
 
 
 def spawn_column_rngs(seed: Optional[int], columns: int):
@@ -33,25 +33,14 @@ def spawn_column_rngs(seed: Optional[int], columns: int):
     One ``SeedSequence(seed)`` spawns ``columns`` independent child
     streams; scalar and vectorized drawing from the same column then
     consume identical bit streams in identical order, which is what makes
-    ``generate_batch`` ↔ ``iter_requests`` equivalence exact rather than
-    statistical.  ``seed=None`` draws fresh OS entropy (a deliberately
-    non-deterministic generator), matching ``random.Random(None)``.
+    a generator's whole-array stream equal its one-draw-per-request
+    reference exactly rather than statistically.  ``seed=None`` draws
+    fresh OS entropy (a deliberately non-deterministic generator),
+    matching ``random.Random(None)``.
     """
     np = get_numpy()
     children = np.random.SeedSequence(seed).spawn(columns)
     return [np.random.Generator(np.random.PCG64(child)) for child in children]
-
-
-def _uniform_index(u: float, n: int) -> int:
-    """Map one uniform [0,1) draw to an index in [0, n).
-
-    ``floor(u * n)`` with an explicit top clamp: for very large ``n`` the
-    product can round up to ``n`` exactly (u is a 53-bit float), and the
-    clamp keeps the scalar and array paths identical instead of relying on
-    the rounding never landing there.
-    """
-    index = int(u * n)
-    return n - 1 if index >= n else index
 
 
 class RandomWorkload:
@@ -83,12 +72,12 @@ class RandomWorkload:
     ) -> None:
         if capacity_sectors < 1:
             raise ValueError(f"empty device: {capacity_sectors}")
-        if rate <= 0:
-            raise ValueError(f"non-positive arrival rate: {rate}")
+        if not rate > 0:  # NaN included
+            raise ValueError(f"arrival rate must be > 0, got {rate}")
         if not 0.0 <= read_fraction <= 1.0:
             raise ValueError(f"read fraction out of [0,1]: {read_fraction}")
-        if mean_size_sectors <= 0:
-            raise ValueError(f"non-positive mean size: {mean_size_sectors}")
+        if not mean_size_sectors > 0:
+            raise ValueError(f"mean size must be > 0, got {mean_size_sectors}")
         if max_size_sectors < 1 or max_size_sectors > capacity_sectors:
             raise ValueError(f"bad size bound: {max_size_sectors}")
         self.capacity_sectors = capacity_sectors
@@ -98,16 +87,9 @@ class RandomWorkload:
         self.max_size_sectors = max_size_sectors
         self.seed = seed
 
-    def generate(self, count: int) -> List[Request]:
-        """Produce ``count`` requests in arrival order.
-
-        Materialized from :meth:`generate_batch` (the two paths are
-        bit-identical).
-        """
-        return self.generate_batch(count).to_requests()
-
-    def generate_batch(self, count: int) -> RequestBatch:
-        """Synthesize ``count`` requests as columns, whole-array ops only."""
+    def generate(self, count: int) -> RequestBatch:
+        """Synthesize ``count`` requests in arrival order, whole-array ops
+        only."""
         if count < 0:
             raise ValueError(f"negative request count: {count}")
         np = get_numpy()
@@ -130,43 +112,6 @@ class RandomWorkload:
             is_write=is_write,
             rid=np.arange(count, dtype=np.int64),
         )
-
-    def iter_requests(self, count: int) -> Iterator[Request]:
-        """Scalar reference path: one draw per column per request.
-
-        Kept as the executable specification of the stream —
-        :meth:`generate_batch` must (and does, by test) reproduce it
-        bit-for-bit.
-        """
-        if count < 0:
-            raise ValueError(f"negative request count: {count}")
-        np = get_numpy()
-        arrival_rng, size_rng, lbn_rng, kind_rng = spawn_column_rngs(
-            self.seed, self._COLUMNS
-        )
-        clock = 0.0
-        for request_id in range(count):
-            clock += arrival_rng.standard_exponential() / self.rate
-            size = int(
-                np.rint(
-                    size_rng.standard_exponential() * self.mean_size_sectors
-                )
-            )
-            size = min(max(size, 1), self.max_size_sectors)
-            span = self.capacity_sectors - size + 1
-            lbn = _uniform_index(lbn_rng.random(), span)
-            kind = (
-                IOKind.READ
-                if kind_rng.random() < self.read_fraction
-                else IOKind.WRITE
-            )
-            yield Request(
-                arrival_time=clock,
-                lbn=lbn,
-                sectors=size,
-                kind=kind,
-                request_id=request_id,
-            )
 
 
 class UniformFixedWorkload:
@@ -197,40 +142,8 @@ class UniformFixedWorkload:
         self.lbn_pool = lbn_pool
         self.seed = seed
 
-    def generate(self, count: int) -> List[Request]:
-        """Scalar reference path (see :meth:`generate_batch` for the twin)."""
-        if count < 0:
-            raise ValueError(f"negative request count: {count}")
-        lbn_rng, kind_rng = spawn_column_rngs(self.seed, self._COLUMNS)
-        requests = []
-        for request_id in range(count):
-            if self.lbn_pool is not None:
-                lbn = self.lbn_pool[
-                    _uniform_index(lbn_rng.random(), len(self.lbn_pool))
-                ]
-            else:
-                lbn = _uniform_index(
-                    lbn_rng.random(),
-                    self.capacity_sectors - self.sectors + 1,
-                )
-            kind = (
-                IOKind.READ
-                if kind_rng.random() < self.read_fraction
-                else IOKind.WRITE
-            )
-            requests.append(
-                Request(
-                    arrival_time=0.0,
-                    lbn=lbn,
-                    sectors=self.sectors,
-                    kind=kind,
-                    request_id=request_id,
-                )
-            )
-        return requests
-
-    def generate_batch(self, count: int) -> RequestBatch:
-        """Vectorized twin of :meth:`generate` (bit-identical streams)."""
+    def generate(self, count: int) -> RequestBatch:
+        """Draw ``count`` requests, all arriving at time zero."""
         if count < 0:
             raise ValueError(f"negative request count: {count}")
         np = get_numpy()
@@ -277,8 +190,8 @@ class SequentialWorkload:
     ) -> None:
         if capacity_sectors < 1:
             raise ValueError(f"empty device: {capacity_sectors}")
-        if rate <= 0:
-            raise ValueError(f"non-positive arrival rate: {rate}")
+        if not rate > 0:  # NaN included
+            raise ValueError(f"arrival rate must be > 0, got {rate}")
         if request_sectors < 1:
             raise ValueError(f"non-positive request size: {request_sectors}")
         extent = (
@@ -298,39 +211,15 @@ class SequentialWorkload:
         self.kind = kind
         self.seed = seed
 
-    def generate(self, count: int) -> List[Request]:
-        """Scalar reference path (see :meth:`generate_batch` for the twin)."""
-        if count < 0:
-            raise ValueError(f"negative request count: {count}")
-        (arrival_rng,) = spawn_column_rngs(self.seed, self._COLUMNS)
-        clock = 0.0
-        requests = []
-        offset = 0
-        for request_id in range(count):
-            clock += arrival_rng.standard_exponential() / self.rate
-            if offset + self.request_sectors > self.extent_sectors:
-                offset = 0
-            requests.append(
-                Request(
-                    arrival_time=clock,
-                    lbn=self.start_lbn + offset,
-                    sectors=self.request_sectors,
-                    kind=self.kind,
-                    request_id=request_id,
-                )
-            )
-            offset += self.request_sectors
-        return requests
-
-    def generate_batch(self, count: int) -> RequestBatch:
-        """Vectorized twin of :meth:`generate` (bit-identical streams)."""
+    def generate(self, count: int) -> RequestBatch:
+        """Produce ``count`` requests marching through the extent."""
         if count < 0:
             raise ValueError(f"negative request count: {count}")
         np = get_numpy()
         (arrival_rng,) = spawn_column_rngs(self.seed, self._COLUMNS)
         arrival = np.cumsum(arrival_rng.standard_exponential(count) / self.rate)
-        # The scalar loop resets the offset whenever the next request would
-        # overrun the extent, so emitted offsets cycle with period
+        # The stream restarts at the extent's start whenever the next
+        # request would overrun it, so offsets cycle with period
         # ``extent // request_sectors``.
         period = self.extent_sectors // self.request_sectors
         lbn = self.start_lbn + (

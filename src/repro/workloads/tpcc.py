@@ -24,6 +24,10 @@ X-dimension seeks.  SPTF addresses this problem."  Pages adjacent in LBN
 space sit in the same MEMS cylinder only if they share its 2700-sector
 span; neighbours one page apart frequently straddle cylinders, so an
 LBN-greedy pick is often mechanically wrong.
+
+:meth:`TPCCLikeWorkload.generate` returns the stream as a
+:class:`~repro.sim.batch.RequestBatch`, replayed at the paper's trace scale
+(:meth:`~repro.sim.batch.RequestBatch.scale_arrivals`).
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.sim.request import IOKind, Request
-from repro.workloads.traces import Trace
+from repro.sim.batch import RequestBatch
 
 _PAGE_SECTORS = 16  # one 8 KB database page
 
@@ -52,8 +55,9 @@ class TPCCLikeWorkload:
             tables); concurrent transactions collide on these, creating the
             close-LBN pending sets.
         seed: RNG seed.
-        scale: Trace scale factor (paper footnote 2): the scale-1 stream
-            is generated, then :meth:`Trace.scale_arrivals` divides its
+        scale: Replay scale factor (paper footnote 2): the scale-1 stream
+            is generated, then :meth:`RequestBatch.scale_arrivals
+            <repro.sim.batch.RequestBatch.scale_arrivals>` divides its
             inter-arrival times by ``scale``.
     """
 
@@ -70,7 +74,7 @@ class TPCCLikeWorkload:
     ) -> None:
         if capacity_sectors < 4096:
             raise ValueError(f"device too small: {capacity_sectors}")
-        if transaction_rate <= 0 or pages_per_transaction < 1:
+        if not (transaction_rate > 0 and pages_per_transaction >= 1):  # NaN included
             raise ValueError("transaction parameters must be positive")
         if not 0 <= write_fraction <= 1:
             raise ValueError(f"bad write fraction: {write_fraction}")
@@ -87,19 +91,27 @@ class TPCCLikeWorkload:
         self.seed = seed
         self.scale = scale
 
-    def generate(self, count: int) -> Trace:
-        """Produce a trace of ``count`` page accesses."""
+    def generate(self, count: int) -> RequestBatch:
+        """Produce ``count`` page accesses in arrival order.
+
+        Transaction grouping and cluster choice form a sequential
+        dependency chain, so the stream is drawn one access at a time into
+        column lists, then put in arrival order (a transaction's pages can
+        still be issuing when the next transaction starts).
+        """
         if count < 0:
             raise ValueError(f"negative request count: {count}")
         rng = random.Random(self.seed)
         pages = self.database_sectors // _PAGE_SECTORS
         cluster_centers = [rng.randrange(pages) for _ in range(self.hot_clusters)]
-        requests: List[Request] = []
+        arrival: List[float] = []
+        lbns: List[int] = []
+        writes: List[bool] = []
         clock = 0.0
-        while len(requests) < count:
+        while len(arrival) < count:
             clock += rng.expovariate(self.transaction_rate)
             n_pages = min(
-                count - len(requests),
+                count - len(arrival),
                 max(1, round(rng.expovariate(1.0 / self.pages_per_transaction))),
             )
             access_time = clock
@@ -117,30 +129,16 @@ class TPCCLikeWorkload:
                     page = max(0, min(pages - 1, page))
                 else:
                     page = rng.randrange(pages)
-                lbn = page * _PAGE_SECTORS
-                lbn = min(lbn, self.capacity_sectors - _PAGE_SECTORS)
-                is_write = rng.random() < self.write_fraction
-                requests.append(
-                    Request(
-                        arrival_time=access_time,
-                        lbn=lbn,
-                        sectors=_PAGE_SECTORS,
-                        kind=IOKind.WRITE if is_write else IOKind.READ,
-                        request_id=len(requests),
-                    )
+                arrival.append(access_time)
+                lbns.append(
+                    min(page * _PAGE_SECTORS, self.capacity_sectors - _PAGE_SECTORS)
                 )
-        requests.sort(key=lambda r: (r.arrival_time, r.request_id))
-        trace = Trace(name="tpcc-like", requests=requests[:count])
-        return trace if self.scale == 1.0 else trace.scale_arrivals(self.scale)
-
-    def generate_batch(self, count: int):
-        """Columnar view of :meth:`generate`.
-
-        Transaction grouping and cluster choice form a sequential
-        dependency chain, so this generator is not vectorized; the batch is
-        columnarized from the scalar stream and therefore trivially
-        identical to it.
-        """
-        from repro.sim.batch import RequestBatch
-
-        return RequestBatch.from_requests(self.generate(count).requests)
+                writes.append(rng.random() < self.write_fraction)
+        batch = RequestBatch(
+            arrival=arrival,
+            lbn=lbns,
+            sectors=[_PAGE_SECTORS] * count,
+            is_write=writes,
+            rid=range(count),
+        )
+        return batch.sorted_by_arrival().scale_arrivals(self.scale)

@@ -1,172 +1,49 @@
-"""Trace container, arrival-time scaling, and simple ASCII trace I/O.
+"""Simple ASCII trace I/O for request streams.
 
 The paper replays two traces of real disk activity (Cello and TPC-C) against
-the simulated devices.  Because the traced systems' disks were far slower
-than the simulated devices, the paper scales traced *inter-arrival times* by
-a constant factor to produce a range of average arrival rates (footnote 2):
-"When the scale factor is two, the traced inter-arrival times are halved,
-doubling the average arrival rate."  :meth:`Trace.scale_arrivals` implements
-exactly that.
-
-The proprietary trace files themselves are unavailable; the synthetic
-generators in :mod:`repro.workloads.cello` and :mod:`repro.workloads.tpcc`
-produce :class:`Trace` objects with the published first-order
+the simulated devices, scaling traced *inter-arrival times* by a constant
+factor to produce a range of average arrival rates (footnote 2);
+:meth:`~repro.sim.batch.RequestBatch.scale_arrivals` implements exactly
+that on any stream.  The proprietary trace files themselves are
+unavailable; the synthetic generators in :mod:`repro.workloads.cello` and
+:mod:`repro.workloads.tpcc` produce streams with the published first-order
 characteristics (see DESIGN.md §2 for the substitution rationale).
+
+This module stores a :class:`~repro.sim.batch.RequestBatch` as one
+``arrival_time lbn sectors R|W`` line per request, so a stream can be
+saved, edited, or brought in from elsewhere.
 """
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
 from typing import List, TextIO
 
+from repro.sim.batch import RequestBatch
 from repro.sim.request import IOKind, Request
 
 
-@dataclass
-class Trace:
-    """An ordered collection of requests with provenance metadata."""
-
-    name: str
-    requests: List[Request]
-
-    def __post_init__(self) -> None:
-        for earlier, later in zip(self.requests, self.requests[1:]):
-            if later.arrival_time < earlier.arrival_time:
-                raise ValueError(
-                    f"trace {self.name!r} is not sorted by arrival time"
-                )
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __iter__(self):
-        return iter(self.requests)
-
-    # -- transforms -------------------------------------------------------- #
-
-    def scale_arrivals(self, factor: float) -> "Trace":
-        """Divide all inter-arrival times by ``factor`` (paper footnote 2).
-
-        A factor of 1 replays the trace as captured; 2 doubles the average
-        arrival rate.  Request order, sizes, kinds, and locations are
-        untouched.
-        """
-        if factor <= 0:
-            raise ValueError(f"non-positive scale factor: {factor}")
-        scaled = [
-            Request(
-                arrival_time=request.arrival_time / factor,
-                lbn=request.lbn,
-                sectors=request.sectors,
-                kind=request.kind,
-                request_id=request.request_id,
-            )
-            for request in self.requests
-        ]
-        return Trace(name=f"{self.name}@x{factor:g}", requests=scaled)
-
-    def fit_to_device(self, capacity_sectors: int) -> "Trace":
-        """Clamp request locations into a device of ``capacity_sectors``.
-
-        Traced LBNs from a larger device wrap modulo the capacity (keeping
-        relative locality); requests that would run off the end are shifted
-        back.
-        """
-        if capacity_sectors < 1:
-            raise ValueError(f"empty device: {capacity_sectors}")
-        fitted = []
-        for request in self.requests:
-            sectors = min(request.sectors, capacity_sectors)
-            lbn = request.lbn % capacity_sectors
-            if lbn + sectors > capacity_sectors:
-                lbn = capacity_sectors - sectors
-            fitted.append(
-                Request(
-                    arrival_time=request.arrival_time,
-                    lbn=lbn,
-                    sectors=sectors,
-                    kind=request.kind,
-                    request_id=request.request_id,
-                )
-            )
-        return Trace(name=self.name, requests=fitted)
-
-    # -- summary statistics ------------------------------------------------- #
-
-    @property
-    def duration(self) -> float:
-        if not self.requests:
-            return 0.0
-        return self.requests[-1].arrival_time - self.requests[0].arrival_time
-
-    @property
-    def mean_arrival_rate(self) -> float:
-        if len(self.requests) < 2 or self.duration == 0:
-            raise ValueError("trace too short for a rate estimate")
-        return (len(self.requests) - 1) / self.duration
-
-    @property
-    def read_fraction(self) -> float:
-        if not self.requests:
-            raise ValueError("empty trace")
-        reads = sum(1 for r in self.requests if r.kind.is_read)
-        return reads / len(self.requests)
-
-    @property
-    def mean_size_sectors(self) -> float:
-        if not self.requests:
-            raise ValueError("empty trace")
-        return statistics.fmean(r.sectors for r in self.requests)
-
-    @property
-    def footprint_sectors(self) -> int:
-        """Span between the lowest and highest sector touched."""
-        if not self.requests:
-            return 0
-        low = min(r.lbn for r in self.requests)
-        high = max(r.last_lbn for r in self.requests)
-        return high - low + 1
+def write_trace(batch: RequestBatch, stream: TextIO) -> None:
+    """Serialize as ``arrival_time lbn sectors R|W`` lines, in row order,
+    after a comment naming the columns."""
+    stream.write("# arrival_time lbn sectors R|W\n")
+    for arrival, lbn, sectors, is_write in zip(
+        batch.arrival.tolist(),
+        batch.lbn.tolist(),
+        batch.sectors.tolist(),
+        batch.is_write.tolist(),
+    ):
+        stream.write(f"{arrival:.9f} {lbn} {sectors} {'W' if is_write else 'R'}\n")
 
 
-def merge_traces(traces: List["Trace"], name: str = "merged") -> "Trace":
-    """Interleave several traces by arrival time (multi-application mixes).
+def read_trace(stream: TextIO) -> RequestBatch:
+    """Parse the format written by :func:`write_trace`.
 
-    Request ids are renumbered to stay unique across the merge.
+    Requests get ids 0, 1, … in line order.  Blank and ``#`` lines are
+    skipped; a malformed line, a request the ``Request`` constructor
+    refuses (a negative or non-finite arrival time, a negative LBN, an
+    empty transfer) or an arrival earlier than the previous line's raises
+    ``ValueError`` naming the line.
     """
-    if not traces:
-        raise ValueError("nothing to merge")
-    merged = sorted(
-        (request for trace in traces for request in trace.requests),
-        key=lambda r: r.arrival_time,
-    )
-    renumbered = [
-        Request(
-            arrival_time=request.arrival_time,
-            lbn=request.lbn,
-            sectors=request.sectors,
-            kind=request.kind,
-            request_id=index,
-        )
-        for index, request in enumerate(merged)
-    ]
-    return Trace(name=name, requests=renumbered)
-
-
-# -- ASCII trace format (one request per line) ------------------------------ #
-
-def write_trace(trace: Trace, stream: TextIO) -> None:
-    """Serialize as ``arrival_time lbn sectors R|W`` lines."""
-    stream.write(f"# trace: {trace.name}\n")
-    for request in trace.requests:
-        kind = "R" if request.kind.is_read else "W"
-        stream.write(
-            f"{request.arrival_time:.9f} {request.lbn} {request.sectors} {kind}\n"
-        )
-
-
-def read_trace(stream: TextIO, name: str = "trace") -> Trace:
-    """Parse the format written by :func:`write_trace`."""
     requests: List[Request] = []
     for line_number, line in enumerate(stream, start=1):
         text = line.strip()
@@ -178,13 +55,19 @@ def read_trace(stream: TextIO, name: str = "trace") -> Trace:
         arrival, lbn, sectors, kind_text = fields
         if kind_text not in ("R", "W"):
             raise ValueError(f"line {line_number}: bad kind {kind_text!r}")
-        requests.append(
-            Request(
+        try:
+            request = Request(
                 arrival_time=float(arrival),
                 lbn=int(lbn),
                 sectors=int(sectors),
                 kind=IOKind.READ if kind_text == "R" else IOKind.WRITE,
                 request_id=len(requests),
             )
-        )
-    return Trace(name=name, requests=requests)
+        except ValueError as exc:
+            raise ValueError(f"line {line_number}: {exc}") from None
+        if requests and request.arrival_time < requests[-1].arrival_time:
+            raise ValueError(
+                f"line {line_number}: trace is not sorted by arrival time"
+            )
+        requests.append(request)
+    return RequestBatch.from_requests(requests)

@@ -178,7 +178,7 @@ class TestPersistentPool:
         from repro.workloads.synthetic import RandomWorkload
 
         batches = [
-            RandomWorkload(10_000, rate=500.0, seed=seed).generate_batch(256)
+            RandomWorkload(10_000, rate=500.0, seed=seed).generate(256)
             for seed in (1, 2, 3)
         ]
         expected = [(_batch_checksum(batch),) for batch in batches]

@@ -96,7 +96,7 @@ def workers():
 
 
 batches = [
-    RandomWorkload(10_000, rate=500.0, seed=seed).generate_batch(64 + seed)
+    RandomWorkload(10_000, rate=500.0, seed=seed).generate(64 + seed)
     for seed in range(4)
 ]
 before = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}

@@ -114,15 +114,13 @@ class TestTraceReplay:
         device = MEMSDevice()
         trace = CelloLikeWorkload(device.capacity_sectors, seed=1).generate(400)
         scaled = trace.scale_arrivals(2.0)
-        result = simulate(device, make_scheduler("SPTF", device), scaled.requests)
+        result = simulate(device, make_scheduler("SPTF", device), scaled)
         assert len(result) == 400
 
     def test_tpcc_like_replay_end_to_end(self):
         device = MEMSDevice()
         trace = TPCCLikeWorkload(device.capacity_sectors, seed=1).generate(400)
-        result = simulate(
-            device, make_scheduler("C-LOOK", device), trace.requests
-        )
+        result = simulate(device, make_scheduler("C-LOOK", device), trace)
         assert len(result) == 400
 
 

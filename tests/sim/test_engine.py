@@ -106,6 +106,31 @@ class TestSimulation:
         with pytest.raises(ValueError, match="negative arrival_time"):
             simulate(ConstantDevice(), FCFSScheduler(), batch)
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, arrival):
+        # Both passed an ``arrival < 0`` check; an inf arrival ran to a NaN
+        # mean response with only a RuntimeWarning.
+        batch = RequestBatch(
+            arrival=[0.0, arrival, 2.0], lbn=[0, 1, 2], sectors=[1, 1, 1],
+            is_write=[False, False, False], rid=[0, 1, 2],
+        )
+        with pytest.raises(
+            ValueError, match=f"non-finite arrival_time: {arrival}"
+        ):
+            Simulation(ConstantDevice(), FCFSScheduler()).run(batch)
+        with pytest.raises(ValueError, match="non-finite arrival_time"):
+            batch.to_requests()
+
+    def test_to_requests_checks_request_invariants(self):
+        # The one place rows become Requests refuses what the validating
+        # constructor refuses, without a device capacity to check against.
+        batch = RequestBatch(
+            arrival=[0.0, 1.0], lbn=[0, -3], sectors=[1, 1],
+            is_write=[False, True], rid=[0, 1],
+        )
+        with pytest.raises(ValueError, match="negative lbn: -3"):
+            batch.to_requests()
+
     def test_batch_and_list_streams_agree(self):
         requests = [req(i * 0.3, lbn=i, rid=i) for i in range(6)]
         from_list = simulate(ConstantDevice(), FCFSScheduler(), requests)

@@ -62,7 +62,7 @@ def test_area_under_number_in_system_is_total_response(
     tracer = RingBufferTracer()
     sim = Simulation(model, make_scheduler(scheduler, model), tracer=tracer)
     batch = RandomWorkload(model.capacity_sectors, rate=rate, seed=11)
-    result = sim.run(batch.generate_batch(requests))
+    result = sim.run(batch.generate(requests))
     assert len(result) == requests
     columns = result.columns
     total_response = float((columns["completion"] - columns["arrival"]).sum())

@@ -26,8 +26,15 @@ class TestRequest:
         assert request.last_lbn == 7
 
     def test_negative_arrival_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative arrival_time: -0.1"):
             Request(-0.1, lbn=0, sectors=1, kind=IOKind.READ)
+
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, arrival):
+        with pytest.raises(
+            ValueError, match=f"non-finite arrival_time: {arrival}"
+        ):
+            Request(arrival, lbn=0, sectors=1, kind=IOKind.READ)
 
     def test_negative_lbn_rejected(self):
         with pytest.raises(ValueError):

@@ -73,7 +73,7 @@ def run_case(name, rate, requests, seed):
     span = device.capacity_sectors
     if name.startswith("mems"):  # the smallest MEMS generation's range
         span = generations.generation_1().capacity_sectors
-    batch = RandomWorkload(span, rate=rate, seed=seed).generate_batch(requests)
+    batch = RandomWorkload(span, rate=rate, seed=seed).generate(requests)
     result = Simulation(device, make_scheduler("SPTF", device)).run(batch)
     return {key: column.tolist() for key, column in result.columns.items()}
 '''

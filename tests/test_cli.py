@@ -422,3 +422,24 @@ class TestEmptyAndMalformedInputs:
         path.write_text('{"rate": 800,\n  oops\n}\n')
         line = self._error(capsys, [command, "--config", str(path)])
         assert f"{path}:2:3: invalid JSON" in line
+
+    def test_simulate_nan_rate(self, capsys):
+        # NaN passed the generators' ``rate <= 0`` test and ran to a
+        # ``mean response : nan ms`` answer with exit 0.
+        line = self._error(
+            capsys, ["simulate", "--rate", "nan", "--requests", "200"]
+        )
+        assert "arrival rate must be > 0, got nan" in line
+        assert capsys.readouterr().out == ""
+
+    def test_fleet_nan_rate(self, capsys):
+        line = self._error(
+            capsys, ["fleet", "--rate", "nan", "--requests", "400"]
+        )
+        assert "arrival rate must be > 0, got nan" in line
+
+    def test_simulate_config_nan_rate(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"rate": NaN, "num_requests": 200}')
+        line = self._error(capsys, ["simulate", "--config", str(path)])
+        assert "arrival rate must be > 0, got nan" in line

@@ -1,12 +1,13 @@
-"""Columnar-path identity: batches must equal the scalar references, bitwise.
+"""Columnar-path identity: generators and routers equal their scalar
+references, bitwise.
 
 The columnar pipeline (RequestBatch generation, array routing) is pinned
 from two sides:
 
-* every workload generator's ``generate_batch`` materializes to exactly
-  the request list its ``generate`` builds, across seeds, rates, and
-  footprints (float-exact, not approx: both paths must perform the same
-  IEEE operations in the same order);
+* every workload generator's ``generate`` materializes to exactly the
+  request list its scalar reference in ``stream_reference.py`` builds,
+  across seeds, rates, and footprints (float-exact, not approx: both paths
+  must perform the same IEEE operations in the same order);
 * every built-in router's ``route_array``/``member_lbn_array`` agree
   element-for-element with a plain-Python reference of the policy (below,
   with :func:`~repro.fleet.routing.mix64` as the hash reference) over the
@@ -30,6 +31,7 @@ from repro.workloads.synthetic import (
     UniformFixedWorkload,
 )
 from repro.workloads.tpcc import TPCCLikeWorkload
+from tests.workloads import stream_reference as reference
 
 CAPACITY = 500_000
 COUNT = 400
@@ -40,9 +42,8 @@ class TestGeneratorBatchIdentity:
     @pytest.mark.parametrize("rate", [300.0, 1500.0])
     def test_random_workload(self, seed, rate):
         workload = RandomWorkload(CAPACITY, rate=rate, seed=seed)
-        assert (
-            workload.generate_batch(COUNT).to_requests()
-            == workload.generate(COUNT)
+        assert workload.generate(COUNT).to_requests() == (
+            reference.random_requests(workload, COUNT)
         )
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -55,18 +56,21 @@ class TestGeneratorBatchIdentity:
             mean_size_sectors=16.0,
             seed=seed,
         )
-        assert (
-            workload.generate_batch(COUNT).to_requests()
-            == workload.generate(COUNT)
+        assert workload.generate(COUNT).to_requests() == (
+            reference.random_requests(workload, COUNT)
         )
 
     def test_random_workload_matches_scalar_reference(self):
-        # iter_requests is the executable spec: one scalar RNG draw per
-        # column per request.  The whole-array path must replay it.
-        workload = RandomWorkload(CAPACITY, rate=600.0, seed=42)
-        assert workload.generate_batch(COUNT).to_requests() == list(
-            workload.iter_requests(COUNT)
+        # The reference is the executable spec: one scalar RNG draw per
+        # column per request.  The whole-array path must replay it, down
+        # to the sizes the truncation bound clips.
+        workload = RandomWorkload(
+            CAPACITY, rate=600.0, mean_size_sectors=64.0,
+            max_size_sectors=96, seed=42,
         )
+        batch = workload.generate(COUNT)
+        assert batch.to_requests() == reference.random_requests(workload, COUNT)
+        assert int(batch.sectors.max()) == 96
 
     @pytest.mark.parametrize("seed", [0, 9])
     @pytest.mark.parametrize("pool", [None, [0, 512, 1024, 65536]])
@@ -74,9 +78,8 @@ class TestGeneratorBatchIdentity:
         workload = UniformFixedWorkload(
             CAPACITY, sectors=8, read_fraction=0.5, lbn_pool=pool, seed=seed
         )
-        assert (
-            workload.generate_batch(COUNT).to_requests()
-            == workload.generate(COUNT)
+        assert workload.generate(COUNT).to_requests() == (
+            reference.uniform_fixed_requests(workload, COUNT)
         )
 
     @pytest.mark.parametrize("seed", [None, 3])
@@ -90,41 +93,32 @@ class TestGeneratorBatchIdentity:
             extent_sectors=extent,
             seed=seed,
         )
-        batch = SequentialWorkload(
-            CAPACITY,
-            rate=400.0,
-            request_sectors=64,
-            start_lbn=1000,
-            extent_sectors=extent,
-            seed=seed,
-        ).generate_batch(COUNT)
+        batch = workload.generate(COUNT)
+        expected = reference.sequential_requests(workload, COUNT)
         if seed is None:
             # Unseeded streams differ per call; compare structure only.
-            objects = workload.generate(COUNT)
-            assert [r.lbn for r in batch.to_requests()] == [
-                r.lbn for r in objects
-            ]
+            assert batch.lbn.tolist() == [r.lbn for r in expected]
         else:
-            assert batch.to_requests() == workload.generate(COUNT)
+            assert batch.to_requests() == expected
 
     @pytest.mark.parametrize("seed", [1, 8])
     @pytest.mark.parametrize("footprint", [0.25, 0.5])
     def test_cello_like(self, seed, footprint):
-        make = lambda: CelloLikeWorkload(  # noqa: E731
+        workload = CelloLikeWorkload(
             CAPACITY, footprint_fraction=footprint, seed=seed
         )
-        assert (
-            make().generate_batch(COUNT).to_requests()
-            == make().generate(COUNT).requests
+        assert workload.generate(COUNT).to_requests() == (
+            reference.cello_requests(workload, COUNT)
         )
 
     @pytest.mark.parametrize("seed", [1, 8])
     def test_tpcc_like(self, seed):
-        make = lambda: TPCCLikeWorkload(CAPACITY, seed=seed)  # noqa: E731
-        assert (
-            make().generate_batch(COUNT).to_requests()
-            == make().generate(COUNT).requests
-        )
+        workload = TPCCLikeWorkload(CAPACITY, seed=seed)
+        batch = workload.generate(COUNT)
+        assert batch.to_requests() == reference.tpcc_requests(workload, COUNT)
+        # Transactions overlap, so arrival order is not id order: the
+        # sort is exercised, not a no-op.
+        assert batch.rid.tolist() != list(range(COUNT))
 
 
 HETEROGENEOUS = (300_000, 100_000, 500_000, 200_000)
@@ -172,7 +166,7 @@ class TestRouterArrayIdentity:
         fleet_capacity = sum(HETEROGENEOUS)
         return RandomWorkload(
             fleet_capacity, rate=1000.0, seed=11
-        ).generate_batch(COUNT)
+        ).generate(COUNT)
 
     @pytest.mark.parametrize("name", ROUTER_NAMES)
     def test_route_array_matches_scalar(self, name, batch):
@@ -210,6 +204,6 @@ class TestRouterArrayIdentity:
 class TestBatchRoundTrip:
     def test_from_requests_round_trip(self):
         workload = RandomWorkload(CAPACITY, rate=500.0, seed=5)
-        requests = workload.generate(COUNT)
+        requests = reference.random_requests(workload, COUNT)
         batch = RequestBatch.from_requests(requests)
         assert batch.to_requests() == requests

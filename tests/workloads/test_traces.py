@@ -1,88 +1,86 @@
-"""Unit tests for the trace container, scaling, and I/O."""
+"""Unit tests for trace replay on a request stream: arrival-time scaling
+(``RequestBatch.scale_arrivals``, paper footnote 2) and the ASCII trace
+format (``read_trace``/``write_trace``)."""
 
 import io
 
 import pytest
 
-from repro.sim import IOKind, Request
-from repro.workloads import Trace, read_trace, write_trace
+from repro.sim.batch import RequestBatch
+from repro.workloads import read_trace, write_trace
 
 
 def make_trace(times=(0.0, 1.0, 3.0)):
-    requests = [
-        Request(t, lbn=i * 100, sectors=8, kind=IOKind.READ, request_id=i)
-        for i, t in enumerate(times)
-    ]
-    return Trace(name="unit", requests=requests)
+    count = len(times)
+    return RequestBatch(
+        arrival=times,
+        lbn=[i * 100 for i in range(count)],
+        sectors=[8] * count,
+        is_write=[False] * count,
+        rid=range(count),
+    )
 
 
 class TestTrace:
     def test_unsorted_rejected(self):
-        requests = [
-            Request(1.0, lbn=0, sectors=1, kind=IOKind.READ, request_id=0),
-            Request(0.5, lbn=0, sectors=1, kind=IOKind.READ, request_id=1),
-        ]
-        with pytest.raises(ValueError):
-            Trace(name="bad", requests=requests)
+        with pytest.raises(ValueError, match="line 3: .*not sorted"):
+            read_trace(io.StringIO("# unsorted\n1.0 0 1 R\n0.5 0 1 R\n"))
 
     def test_scale_arrivals_halves_interarrivals(self):
-        trace = make_trace()
-        scaled = trace.scale_arrivals(2.0)
-        assert [r.arrival_time for r in scaled] == [0.0, 0.5, 1.5]
+        scaled = make_trace().scale_arrivals(2.0)
+        assert scaled.arrival.tolist() == [0.0, 0.5, 1.5]
 
     def test_scale_factor_one_is_identity(self):
-        trace = make_trace()
-        scaled = trace.scale_arrivals(1.0)
-        assert [r.arrival_time for r in scaled] == [0.0, 1.0, 3.0]
+        scaled = make_trace().scale_arrivals(1.0)
+        assert scaled.arrival.tolist() == [0.0, 1.0, 3.0]
 
     def test_scale_preserves_everything_else(self):
         trace = make_trace()
         scaled = trace.scale_arrivals(4.0)
-        assert [r.lbn for r in scaled] == [r.lbn for r in trace]
-        assert [r.sectors for r in scaled] == [r.sectors for r in trace]
+        for name in ("lbn", "sectors", "is_write", "rid"):
+            assert getattr(scaled, name).tolist() == getattr(trace, name).tolist()
+        assert trace.arrival.tolist() == [0.0, 1.0, 3.0]  # not scaled in place
 
     def test_scale_rate_doubles(self):
+        def rate(batch):
+            return (len(batch) - 1) / float(batch.arrival[-1] - batch.arrival[0])
+
         trace = make_trace(times=tuple(float(i) for i in range(100)))
-        assert trace.scale_arrivals(2.0).mean_arrival_rate == pytest.approx(
-            2 * trace.mean_arrival_rate
-        )
+        assert rate(trace.scale_arrivals(2.0)) == pytest.approx(2 * rate(trace))
 
     def test_invalid_scale_rejected(self):
-        with pytest.raises(ValueError):
-            make_trace().scale_arrivals(0.0)
-
-    def test_fit_to_device_wraps(self):
-        trace = make_trace()
-        fitted = trace.fit_to_device(150)
-        assert all(r.last_lbn < 150 for r in fitted)
-
-    def test_statistics(self):
-        trace = make_trace()
-        assert trace.duration == pytest.approx(3.0)
-        assert trace.read_fraction == 1.0
-        assert trace.mean_size_sectors == 8.0
-        assert trace.footprint_sectors == 208
+        for factor in (0.0, -2.0, float("nan")):
+            with pytest.raises(ValueError, match="scale factor"):
+                make_trace().scale_arrivals(factor)
 
 
 class TestTraceIO:
     def test_roundtrip(self):
-        trace = make_trace()
+        trace = RequestBatch(
+            arrival=[0.0, 0.25, 1.000000001],
+            lbn=[0, 100, 200],
+            sectors=[8, 1, 64],
+            is_write=[False, True, False],
+            rid=range(3),
+        )
         buffer = io.StringIO()
         write_trace(trace, buffer)
+        assert buffer.getvalue().splitlines() == [
+            "# arrival_time lbn sectors R|W",
+            "0.000000000 0 8 R",
+            "0.250000000 100 1 W",
+            "1.000000001 200 64 R",
+        ]
         buffer.seek(0)
-        loaded = read_trace(buffer, name="unit")
-        assert len(loaded) == len(trace)
-        for original, parsed in zip(trace, loaded):
-            assert parsed.lbn == original.lbn
-            assert parsed.sectors == original.sectors
-            assert parsed.kind == original.kind
-            assert parsed.arrival_time == pytest.approx(original.arrival_time)
+        loaded = read_trace(buffer)
+        assert loaded.to_requests() == trace.to_requests()
 
     def test_comments_and_blanks_skipped(self):
         text = "# header\n\n0.5 100 8 W\n"
         trace = read_trace(io.StringIO(text))
         assert len(trace) == 1
-        assert not trace.requests[0].kind.is_read
+        assert trace.is_write.tolist() == [True]
+        assert trace.rid.tolist() == [0]
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
@@ -92,25 +90,12 @@ class TestTraceIO:
         with pytest.raises(ValueError):
             read_trace(io.StringIO("0.5 100 8 X\n"))
 
+    @pytest.mark.parametrize("arrival", ["nan", "inf", "-inf"])
+    def test_non_finite_arrival_rejected(self, arrival):
+        text = f"0.5 100 8 R\n{arrival} 200 8 R\n"
+        with pytest.raises(ValueError, match=f"line 2: .*arrival_time: {arrival}"):
+            read_trace(io.StringIO(text))
 
-class TestMergeTraces:
-    def test_interleaves_by_time(self):
-        from repro.workloads import merge_traces
-
-        a = make_trace(times=(0.0, 2.0))
-        b = make_trace(times=(1.0, 3.0))
-        merged = merge_traces([a, b])
-        assert [r.arrival_time for r in merged] == [0.0, 1.0, 2.0, 3.0]
-
-    def test_request_ids_unique(self):
-        from repro.workloads import merge_traces
-
-        merged = merge_traces([make_trace(), make_trace()])
-        ids = [r.request_id for r in merged]
-        assert ids == list(range(len(ids)))
-
-    def test_empty_rejected(self):
-        from repro.workloads import merge_traces
-
-        with pytest.raises(ValueError):
-            merge_traces([])
+    def test_bad_request_names_its_line(self):
+        with pytest.raises(ValueError, match="line 2: negative lbn: -4"):
+            read_trace(io.StringIO("0.5 100 8 R\n0.6 -4 8 R\n"))
